@@ -56,9 +56,7 @@ func realMain() int {
 		failPolicy = flag.String("fail-policy", "strict", "strict: exit 1 if any run failed every attempt; degrade: exit 0 with holed tables")
 		sample     = flag.Bool("sample", false, "run every figure under the interval-sampling scheduler (DESIGN §14, §15); cells come from extrapolated results")
 		sampleJobs = flag.Int("sample-jobs", 1, "concurrent detailed-window chains inside each sampled run; tables are byte-identical at any value (with -j unset, the pool narrows to NumCPU/sample-jobs)")
-		slowpath   = flag.Bool("slowpath", false, "force the reference one-step simulation loop (disable the block-batched engine)")
-		jit        = flag.Bool("jit", true, "compile hot superblocks to closure chains (the tier above the batch engine; moot under -slowpath)")
-		jitHeat    = flag.Int("jit-threshold", -1, "override the JIT promotion threshold (-1 = config default, 0 = compile on first use)")
+		slowpath   = flag.Bool("slowpath", false, "force the reference one-step simulation loop (disable the compiled superblock engine)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -93,11 +91,6 @@ func realMain() int {
 	opts.Sampled = *sample
 	opts.SampleJobs = *sampleJobs
 	opts.DisableFastPath = *slowpath
-	opts.DisableJIT = !*jit
-	if *jitHeat >= 0 {
-		th := uint32(*jitHeat)
-		opts.JITThreshold = &th
-	}
 	opts.Retries = *retries
 	opts.TaskTimeout = *taskTO
 

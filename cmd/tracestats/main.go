@@ -5,7 +5,7 @@
 //   - per-load repair timelines — every insert → ±1 repair → mature
 //     sequence the self-repairing optimizer ran, per (trace head, load);
 //   - fast-path residency — how many cycles and original instructions the
-//     block-batched engine retired, versus the whole run;
+//     compiled fast path retired, versus the whole run;
 //   - the slow-path trigger histogram — why each fast-path session handed
 //     control back to the reference one-step loop;
 //   - the sampling timeline — for traces from tridentsim -sample, every
@@ -16,8 +16,8 @@
 //     reconstructed from the selector's switch events.
 //
 // With -metrics, a registry snapshot written by tridentsim -metrics-out adds
-// a fourth view: per-tier residency (reference loop / batch engine / JIT
-// closure chains) and the JIT compile/invalidate counters.
+// a fourth view: per-tier residency (reference loop / compiled closure
+// chains) and the compile/revalidate counters.
 //
 // Usage:
 //
@@ -102,10 +102,10 @@ func main() {
 	}
 }
 
-// tierResidency renders the three-tier engine counters from a metrics
-// registry snapshot: weighted original instructions and cycles retired per
-// execution tier, plus the JIT tier's compile/revalidate activity and the
-// block-cache churn that drives it.
+// tierResidency renders the engine counters from a metrics registry
+// snapshot: weighted original instructions and cycles retired on the
+// reference loop and through compiled chains, plus the compile/revalidate
+// activity and the block-cache churn that drives it.
 func tierResidency(metricsJSON []byte) (string, error) {
 	var doc struct {
 		Gauges map[string]float64 `json:"gauges"`
@@ -118,7 +118,6 @@ func tierResidency(metricsJSON []byte) (string, error) {
 	sb.WriteString("tier residency:\n")
 	tiers := []struct{ key, label string }{
 		{"slow", "reference loop"},
-		{"batch", "batch engine"},
 		{"jit", "jit chains"},
 	}
 	var totInstrs, totCycles float64
@@ -148,8 +147,8 @@ func tierResidency(metricsJSON []byte) (string, error) {
 	}
 	fmt.Fprintf(&sb, "  jit: compiles=%.0f revalidations=%.0f\n",
 		g["jit_compiles"], g["jit_revalidations"])
-	fmt.Fprintf(&sb, "  block cache: hits=%.0f rebuilds=%.0f invalidations=%.0f\n",
-		g["blockcache_hits"], g["blockcache_rebuilds"], g["blockcache_invalidations"])
+	fmt.Fprintf(&sb, "  block cache: rebuilds=%.0f invalidations=%.0f\n",
+		g["blockcache_rebuilds"], g["blockcache_invalidations"])
 	return sb.String(), nil
 }
 

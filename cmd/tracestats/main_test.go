@@ -130,15 +130,12 @@ func TestTierResidency(t *testing.T) {
 	blob := []byte(`{
   "counters": {},
   "gauges": {
-    "tier_slow_instrs": 3000,
-    "tier_slow_cycles": 2000,
-    "tier_batch_instrs": 90000,
-    "tier_batch_cycles": 30000,
+    "tier_slow_instrs": 93000,
+    "tier_slow_cycles": 32000,
     "tier_jit_instrs": 307000,
     "tier_jit_cycles": 100000,
     "jit_compiles": 37,
     "jit_revalidations": 24,
-    "blockcache_hits": 500,
     "blockcache_rebuilds": 492,
     "blockcache_invalidations": 8
   },
@@ -149,13 +146,16 @@ func TestTierResidency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"tier residency:", "reference loop", "batch engine", "jit chains",
+		"tier residency:", "reference loop", "jit chains",
 		"307000", "76.8%", // jit instrs share of 400000
-		"compiles=37", "revalidations=24", "invalidations=8",
+		"compiles=37", "revalidations=24", "rebuilds=492", "invalidations=8",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("tier section lacks %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "batch") {
+		t.Errorf("tier section still renders a batch row:\n%s", out)
 	}
 
 	// A snapshot without tier gauges (old stream, or telemetry off) renders

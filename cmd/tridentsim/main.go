@@ -80,9 +80,7 @@ func main() {
 		preset  = flag.String("chaos", "", "fault-injection preset: "+presetList())
 		seed    = flag.Uint64("chaos-seed", 1, "fault-injection schedule seed")
 		jobs    = flag.Int("j", 0, "max concurrent benchmark runs (0 = all CPUs)")
-		slow    = flag.Bool("slowpath", false, "force the reference one-step simulation loop (disable the block-batched engine)")
-		jit     = flag.Bool("jit", true, "compile hot superblocks to closure chains (the tier above the batch engine; moot under -slowpath)")
-		jitHeat = flag.Uint("jit-threshold", 8, "interpreted launches before a block is JIT-compiled (0 = compile on first use)")
+		slow    = flag.Bool("slowpath", false, "force the reference one-step simulation loop (disable the compiled superblock engine)")
 
 		hwDegree   = flag.Int("hw-degree", defCfg.HWDegree, "prefetch degree for the arsenal backends (-hw next-line/stride/best-offset/ghb/selector)")
 		selProbe   = flag.Uint64("selector-probe", defCfg.SelectorProbe, "committed loads per backend probe epoch (-hw selector)")
@@ -177,8 +175,6 @@ func main() {
 	cfg.Trident = *trident
 	cfg.LinkTraces = *link
 	cfg.DisableFastPath = *slow
-	cfg.JIT = *jit
-	cfg.JITThreshold = uint32(*jitHeat)
 	cfg.Backout = *backout
 	cfg.ValueSpecialize = *valspec
 	cfg.PhaseClearMature = *phase
@@ -411,11 +407,11 @@ type ckptOptions struct {
 // setting may legitimately resume under another.
 func (o ckptOptions) identity(bm workloads.Benchmark, cfg core.Config) string {
 	id := fmt.Sprintf("tridentsim bench=%s scale=%s hw=%s sw=%s trident=%v link=%v "+
-		"backout=%v valspec=%v phase=%v slowpath=%v jit=%v/%d sentinel=%d/%d "+
+		"backout=%v valspec=%v phase=%v slowpath=%v sentinel=%d/%d "+
 		"chaos=%s chaos-seed=%d chaos-horizon=%d telemetry=%v",
 		bm.Name, o.scale, cfg.HW, cfg.SW, cfg.Trident, cfg.LinkTraces,
 		cfg.Backout, cfg.ValueSpecialize, cfg.PhaseClearMature, cfg.DisableFastPath,
-		cfg.JIT, cfg.JITThreshold, cfg.SentinelEvery, cfg.SentinelWindow,
+		cfg.SentinelEvery, cfg.SentinelWindow,
 		o.preset, o.seed, int64(o.instrs)*2, o.telemetry)
 	if cfg.HW.Arsenal() {
 		// The arsenal knobs shape every prefetch decision, so a resume with

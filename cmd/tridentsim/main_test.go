@@ -214,27 +214,23 @@ func TestSampledRestoreIdentity(t *testing.T) {
 	}
 }
 
-// TestEngineReportIdentity: the three execution tiers are architecturally
-// invisible at the binary boundary — the rendered report of a JIT-everything
-// run, a batch-only run, and a reference-loop run must be byte-identical.
+// TestEngineReportIdentity: the execution engine is architecturally
+// invisible at the binary boundary — the rendered report of a default run,
+// which retires superblocks through compiled chains, and of a -slowpath
+// reference-loop run must be byte-identical.
 func TestEngineReportIdentity(t *testing.T) {
 	base := []string{"-bench", "mcf", "-scale", "small", "-instrs", "400000", "-v"}
 	slowOut, slowErr, slowCode := tridentsim(t, append([]string{"-slowpath"}, base...)...)
 	if slowOut == "" || slowCode != 0 {
 		t.Fatalf("slowpath run failed (code %d):\n%s", slowCode, slowErr)
 	}
-	for name, extra := range map[string][]string{
-		"jit-eager": {"-jit-threshold", "0"},
-		"nojit":     {"-jit=false"},
-	} {
-		out, errb, code := tridentsim(t, append(append([]string{}, extra...), base...)...)
-		if code != slowCode {
-			t.Errorf("%s: exit code %d, slowpath %d\n%s", name, code, slowCode, errb)
-		}
-		if out != slowOut {
-			t.Errorf("%s report differs from slowpath\n-- slowpath --\n%s-- %s --\n%s",
-				name, slowOut, name, out)
-		}
+	out, errb, code := tridentsim(t, base...)
+	if code != slowCode {
+		t.Errorf("default engine: exit code %d, slowpath %d\n%s", code, slowCode, errb)
+	}
+	if out != slowOut {
+		t.Errorf("default report differs from slowpath\n-- slowpath --\n%s-- default --\n%s",
+			slowOut, out)
 	}
 }
 
@@ -289,13 +285,10 @@ func TestKillResumeDeterminism(t *testing.T) {
 		t.Skip("subprocess matrix")
 	}
 	cases := map[string][]string{
-		"fastpath":     {},
-		"slowpath":     {"-slowpath"},
-		"sentinel":     {"-sentinel-every", "300000", "-sentinel-window", "100000"},
-		"jit-eager":    {"-jit-threshold", "0"},
-		"nojit":        {"-jit=false"},
-		"jit-sentinel": {"-jit-threshold", "0", "-sentinel-every", "300000", "-sentinel-window", "100000"},
-		"sampled":      {"-sample", "-sample-interval", "500000", "-sample-startup", "500000"},
+		"fastpath": {},
+		"slowpath": {"-slowpath"},
+		"sentinel": {"-sentinel-every", "300000", "-sentinel-window", "100000"},
+		"sampled":  {"-sample", "-sample-interval", "500000", "-sample-startup", "500000"},
 	}
 	for _, preset := range []string{
 		"latency-phase", "eviction-storm", "helper-preemption", "workload-shift", "monkey",

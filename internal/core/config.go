@@ -198,25 +198,12 @@ type Config struct {
 	Telemetry *telemetry.Options
 
 	// DisableFastPath forces the reference one-step-at-a-time simulation
-	// loop instead of the event-horizon/block-batched engine (DESIGN §9).
-	// The two paths are bit-identical by construction — this knob exists so
-	// the differential tests (and -slowpath on the CLIs) can prove it.
-	// Disabling the fast path also disables the JIT tier (it sits above the
-	// batch engine).
+	// loop instead of the event-horizon engine, which retires superblocks
+	// through compiled closure chains (DESIGN §9, §13). The two paths are
+	// bit-identical by construction — this knob exists so the differential
+	// tests (and -slowpath on the CLIs) can prove it. It is the only engine
+	// switch.
 	DisableFastPath bool
-
-	// JIT enables the third execution tier (DESIGN §13): superblocks whose
-	// launch count crosses JITThreshold are compiled once per block-cache
-	// generation into chains of specialized Go closures and retired through
-	// cpu.ExecCompiled instead of the interpreting batch executor. The tier
-	// is architecturally invisible — bit-identical to the batch engine and
-	// the reference loop — and is quarantined together with the fast path
-	// on sentinel divergence.
-	JIT bool
-	// JITThreshold is how many interpreted launches a block endures before
-	// promotion; 0 compiles on first use (the promotion-boundary smoke
-	// configuration).
-	JITThreshold uint32
 
 	// SentinelEvery arms the online divergence sentinel (sentinel.go,
 	// DESIGN §12): every so many original instructions a window of
@@ -266,9 +253,6 @@ func DefaultConfig() Config {
 
 		ChaosMonitorEvery: 25_000,
 		LivelockWindow:    1_000_000,
-
-		JIT:          true,
-		JITThreshold: 8,
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // fill arrivals all fire at known future cycles — yet the reference loop
 // re-checks every one of them after every committed instruction. fastForward
 // instead computes the nearest cycle at which anything non-CPU can happen
-// and retires whole superblocks (cpu.BlockCache) up to that horizon, running
-// the event machinery once per batch at exactly the instruction boundary the
-// one-step loop would have used.
+// and retires whole compiled superblocks (cpu.BlockCache) up to that
+// horizon, running the event machinery once per batch at exactly the
+// instruction boundary the one-step loop would have used.
 //
 // Since the superblock engine, batches carry memory operations and loop
 // back-edges too. The core-side monitoring the slow path performs per
@@ -34,7 +34,7 @@ import (
 //
 // Equivalence contract (enforced by TestFastPathDifferential): step()
 // executes one instruction and then processes whatever became due at the
-// post-commit cycle. ExecSuperBlock stops after the first instruction whose
+// post-commit cycle. ExecCompiled stops after the first instruction whose
 // commit crosses the horizon or the weight budget — pre-stopping hooked
 // instructions that might cross, so a hook never observes an instruction
 // past the horizon — and the batch-end processing below observes the same
@@ -81,7 +81,7 @@ func (s *System) eventHorizon(now int64) int64 {
 }
 
 // fastForward retires instructions on the fast path until the next slow-step
-// condition: an instruction the batch executor cannot prove equivalent, a
+// condition: an instruction the compiled chain cannot prove equivalent, a
 // trace entry, a patched word, or the instruction budget. Event boundaries
 // (the horizon) end a batch but not the fast path — processing runs and
 // batching resumes.
@@ -110,9 +110,7 @@ loop:
 		}
 		pc := t.PC()
 		var (
-			blk     cpu.Block
 			cb      *cpu.CompiledBlock
-			ok      bool
 			inTrace bool
 			hooks   *cpu.SBHooks
 		)
@@ -131,31 +129,15 @@ loop:
 				exit = telemetry.FPTraceEntry
 				break loop
 			}
-			if s.cfg.JIT {
-				// Launch-hot path: a resident chain that stays inside the
-				// placement needs no block derivation at all.
-				if fast := s.cache.CompiledAt(pc); fast != nil &&
-					pc+uint64(fast.Len())*isa.WordSize <= pl.End {
-					cb, ok = fast, true
-				} else {
-					blk, cb, ok = s.cache.BlockAtJIT(pc, s.cfg.JITThreshold)
-				}
-			} else {
-				blk, ok = s.cache.BlockAt(pc)
-			}
-			if !ok {
+			if cb = s.cache.CompiledAt(pc); cb == nil {
 				exit = telemetry.FPNoBlock
 				break loop
 			}
 			// A block must not run past this placement's end into an
 			// adjacently placed trace (possible only if a trace ends in a
 			// straight-line instruction, but cheap to guarantee here).
-			if maxLen := int((pl.End - pc) / 8); len(blk.Insts) > maxLen {
-				blk.Insts = blk.Insts[:maxLen]
-				blk.Weights = blk.Weights[:maxLen]
-				// The compiled chain covers the untruncated block; the
-				// truncated remainder runs on the interpreter.
-				cb = nil
+			if maxLen := int((pl.End - pc) / isa.WordSize); cb.Len() > maxLen {
+				cb = cb.Prefix(maxLen)
 			}
 			inTrace = true
 			hooks = &s.sbTraceHooks
@@ -165,16 +147,7 @@ loop:
 			exit = telemetry.FPPatched
 			break loop
 		} else {
-			if s.cfg.JIT {
-				if cb = s.live.CompiledAt(pc); cb != nil {
-					ok = true
-				} else {
-					blk, cb, ok = s.live.BlockAtJIT(pc, s.cfg.JITThreshold)
-				}
-			} else {
-				blk, ok = s.live.BlockAt(pc)
-			}
-			if !ok {
+			if cb = s.live.CompiledAt(pc); cb == nil {
 				exit = telemetry.FPNoBlock
 				break loop
 			}
@@ -200,16 +173,7 @@ loop:
 			entryInstrs = s.origInstrs
 			s.tel.Emit(telemetry.KindFastEnter, entryCycle, pc, 0, 0, 0)
 		}
-		// Tier dispatch: a promoted block retires through its compiled
-		// closure chain, everything else through the interpreting batch
-		// executor. Both are bit-identical, so promotion timing is
-		// architecturally invisible.
-		var ex cpu.SBExec
-		if cb != nil {
-			ex = t.ExecCompiled(cb, budget, hz, hooks)
-		} else {
-			ex = t.ExecSuperBlock(blk, budget, hz, hooks)
-		}
+		ex := t.ExecCompiled(cb, budget, hz, hooks)
 		if ex.N == 0 {
 			// The first instruction already needs the slow path: nothing
 			// committed, nothing to process — including a deferred head
@@ -255,15 +219,11 @@ loop:
 		s.stats.loadsTotal += uint64(ex.Loads)
 		s.stats.missesTotal += uint64(ex.WouldMiss)
 		// Tier residency (engine-class): attribute the batch's weight and
-		// clock advance to whichever executor retired it. s.lastNow still
-		// holds the pre-batch cycle here.
-		tier := tierBatch
-		if cb != nil {
-			tier = tierJIT
-		}
-		s.tiers[tier].instrs += ex.Weight
+		// clock advance to the compiled chains. s.lastNow still holds the
+		// pre-batch cycle here.
+		s.tiers[tierJIT].instrs += ex.Weight
 		if d := now - s.lastNow; d > 0 {
-			s.tiers[tier].cycles += uint64(d)
+			s.tiers[tierJIT].cycles += uint64(d)
 		}
 		if s.cfg.Trident {
 			if s.cfg.PhaseClearMature &&

@@ -10,21 +10,21 @@ import (
 )
 
 // FuzzFastPathDifferential extends the repo's fuzz infrastructure (see
-// internal/asm.FuzzAssemble) to the batch engine and the JIT tier: arbitrary
-// bytes become a structured hot loop mixing ALU ops, loads, non-faulting
-// loads, stores, prefetches, FDIVs, and data-dependent forward branches, and
-// the program runs as a three-way oracle — slow path (reference), batch
-// engine (JIT off), and JIT tier (threshold 0, so every block runs compiled).
-// Any divergence in Results, final PC, the register file, or the
+// internal/asm.FuzzAssemble) to the compiled fast path: arbitrary bytes
+// become a structured hot loop mixing ALU ops, loads, non-faulting loads,
+// stores, prefetches, FDIVs, and data-dependent forward branches, and the
+// program runs as a two-way oracle — slow path (reference) against the
+// fast path, where every superblock runs as a compiled chain from its first
+// launch. Any divergence in Results, final PC, the register file, or the
 // memory-system statistics fails. The loop is hot by construction, so
 // Trident forms traces over fuzz-chosen bodies and both engines execute them
 // — covering member classifications (and slow-path exclusions like FDIV) the
 // hand-written differential matrix cannot enumerate. Midway through, a
-// PatchImm is applied identically to all three systems at an immediate-
-// carrying instruction of a live trace: on the JIT system the compiled
-// closure chain is resident at that point (threshold 0), so the patch must
-// invalidate it — observed directly via CompiledAt — and the remainder of the
-// run proves the rewritten word, not the stale chain, is what executes.
+// PatchImm is applied identically to both systems at an immediate-carrying
+// instruction of a live trace: on the fast system the compiled chain
+// starting there is resident at that point, so the patch must retire it —
+// observed directly via CompiledAt — and the remainder of the run proves the
+// rewritten word, not the stale chain, is what executes.
 func FuzzFastPathDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x66, 0x99, 0xb3})                        // load/store/prefetch
@@ -41,61 +41,48 @@ func FuzzFastPathDifferential(f *testing.F) {
 		if len(data) > 192 {
 			data = data[:192]
 		}
-		batch := DefaultConfig()
-		batch.JIT = false
-		jit := DefaultConfig()
-		jit.JIT = true
-		jit.JITThreshold = 0
 		slow := DefaultConfig()
 		slow.DisableFastPath = true
-		sysB := NewSystem(batch, buildFuzzProgram(data))
-		sysJ := NewSystem(jit, buildFuzzProgram(data))
+		sysF := NewSystem(DefaultConfig(), buildFuzzProgram(data))
 		sysS := NewSystem(slow, buildFuzzProgram(data))
-		systems := []*System{sysS, sysB, sysJ}
+		systems := []*System{sysS, sysF}
 
-		// First half: let Trident form traces and the JIT compile them.
+		// First half: let Trident form traces and the fast path compile them.
 		for _, sys := range systems {
 			sys.Run(15_000)
 		}
 
-		// Mid-run PatchImm, applied identically everywhere. The three systems
-		// are bit-identical by construction, so a patch target picked off the
-		// JIT system's code cache exists with the same content in all three.
-		if pc, imm := fuzzPatchTarget(sysJ); pc != 0 {
-			resident := sysJ.cache.CompiledAt(pc) != nil
+		// Mid-run PatchImm, applied identically everywhere. The systems are
+		// bit-identical by construction, so a patch target picked off the
+		// fast system's code cache exists with the same content in both.
+		if pc, imm := fuzzPatchTarget(sysF); pc != 0 {
+			stale := sysF.cache.CompiledAt(pc)
 			for _, sys := range systems {
 				if err := sys.cache.PatchImm(pc, imm); err != nil {
 					t.Fatalf("PatchImm(%#x, %d): %v", pc, imm, err)
 				}
 			}
-			if resident && sysJ.cache.CompiledAt(pc) != nil {
+			if stale != nil && sysF.cache.CompiledAt(pc) == stale {
 				t.Fatalf("compiled chain at %#x survived PatchImm", pc)
 			}
 		}
 
 		resS := sysS.Run(30_000)
-		resB := sysB.Run(30_000)
-		resJ := sysJ.Run(30_000)
-		for _, cmp := range []struct {
-			name string
-			sys  *System
-			res  Results
-		}{{"batch", sysB, resB}, {"jit", sysJ, resJ}} {
-			if cmp.res != resS {
-				t.Fatalf("Results diverged\n%s: %+v\nslow: %+v", cmp.name, cmp.res, resS)
+		resF := sysF.Run(30_000)
+		if resF != resS {
+			t.Fatalf("Results diverged\nfast: %+v\nslow: %+v", resF, resS)
+		}
+		if pcF, pcS := sysF.Thread().PC(), sysS.Thread().PC(); pcF != pcS {
+			t.Fatalf("final PC diverged: fast %#x, slow %#x", pcF, pcS)
+		}
+		for r := isa.Reg(0); r < isa.NumRegs; r++ {
+			if vF, vS := sysF.Thread().Reg(r), sysS.Thread().Reg(r); vF != vS {
+				t.Fatalf("r%d diverged: fast %#x, slow %#x", r, vF, vS)
 			}
-			if pcF, pcS := cmp.sys.Thread().PC(), sysS.Thread().PC(); pcF != pcS {
-				t.Fatalf("final PC diverged: %s %#x, slow %#x", cmp.name, pcF, pcS)
-			}
-			for r := isa.Reg(0); r < isa.NumRegs; r++ {
-				if vF, vS := cmp.sys.Thread().Reg(r), sysS.Thread().Reg(r); vF != vS {
-					t.Fatalf("r%d diverged: %s %#x, slow %#x", r, cmp.name, vF, vS)
-				}
-			}
-			if cmp.sys.hier.Stats != sysS.hier.Stats {
-				t.Fatalf("memsys.Stats diverged\n%s: %+v\nslow: %+v",
-					cmp.name, cmp.sys.hier.Stats, sysS.hier.Stats)
-			}
+		}
+		if sysF.hier.Stats != sysS.hier.Stats {
+			t.Fatalf("memsys.Stats diverged\nfast: %+v\nslow: %+v",
+				sysF.hier.Stats, sysS.hier.Stats)
 		}
 	})
 }

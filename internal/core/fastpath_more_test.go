@@ -5,6 +5,7 @@ import (
 
 	"tridentsp/internal/isa"
 	"tridentsp/internal/memsys"
+	"tridentsp/internal/trace"
 	"tridentsp/internal/trident"
 	"tridentsp/internal/workloads"
 )
@@ -17,7 +18,7 @@ import (
 // in-trace load sample diverges some field. The run is windowed so every
 // resume crosses a batch boundary: L1 misses mid-superblock stop the batch
 // at the missing load (pinned instruction-exactly by the cpu-level
-// superblock tests) and the load retires through step(), which must feed the
+// executor tests) and the load retires through step(), which must feed the
 // table the very same (addr, miss, latency) sample.
 func TestFastPathDLTSampleSequence(t *testing.T) {
 	bm, ok := workloads.ByName("mcf")
@@ -80,9 +81,9 @@ func TestFastPathDLTSampleSequence(t *testing.T) {
 
 // TestFastPathPatchImmHotLoop is the self-repair interaction with batching:
 // a prefetch-distance rewrite (PatchImm) landing in a hot loop that the
-// superblock engine is batching must take effect on the very next iteration.
-// The code cache invalidates block descriptors on patch; a stale descriptor
-// would keep issuing prefetches at the old distance forever.
+// fast path is batching must take effect on the very next iteration. The
+// code cache invalidates compiled chains on patch; a stale chain would keep
+// issuing prefetches at the old distance forever.
 func TestFastPathPatchImmHotLoop(t *testing.T) {
 	bm, ok := workloads.ByName("swim")
 	if !ok {
@@ -125,21 +126,22 @@ func TestFastPathPatchImmHotLoop(t *testing.T) {
 	if oldImm == farOff {
 		t.Fatalf("test offset collides with the optimizer's choice %d", oldImm)
 	}
+	stale := sys.cache.CompiledAt(pfPC)
 	if err := sys.cache.PatchImm(pfPC, farOff); err != nil {
 		t.Fatal(err)
 	}
-	// The execution-visible fetch path and the batch descriptor must both
+	// The execution-visible fetch path and the compiled chain must both
 	// observe the rewritten word immediately.
 	in, ok := sys.Fetch(pfPC)
 	if !ok || in.Imm != farOff {
 		t.Fatalf("Fetch after patch: ok=%v imm=%d, want %d", ok, in.Imm, farOff)
 	}
-	if blk, ok := sys.cache.BlockAt(pfPC); !ok || blk.Insts[0].Imm != farOff {
-		t.Fatalf("BlockAt after patch: ok=%v, stale descriptor", ok)
+	if cb := sys.cache.CompiledAt(pfPC); cb == nil || cb == stale {
+		t.Fatalf("CompiledAt after patch: %p, stale chain %p", cb, stale)
 	}
 
-	// Run a few loop iterations at a time — batched by the superblock
-	// engine — and require the machine behaviour to show the new distance:
+	// Run a few loop iterations at a time — batched by the compiled fast
+	// path — and require the machine behaviour to show the new distance:
 	// a line in the far region (prefetch base + farOff, which only the
 	// patched word addresses) entering L1 via a prefetch fill. The probe
 	// window trails the base register, which advances between the patched
@@ -161,5 +163,57 @@ func TestFastPathPatchImmHotLoop(t *testing.T) {
 	if !found {
 		t.Fatalf("no L1 line near base%+d after patched iterations (base=%#x)",
 			farOff, sys.thread.Reg(in.Ra))
+	}
+}
+
+// TestFastPathTruncatesAtPlacementEnd covers the in-trace block that would
+// run past its placement's end into an adjacently placed trace. Formed
+// traces always end in a jump, so no workload reaches this path; the test
+// places two straight-line traces back to back by hand, launches the fast
+// path mid-way through the first, and requires the batch to retire exactly
+// the first placement's remaining instructions — as a compiled prefix chain
+// — and hand back at the second placement's entry.
+func TestFastPathTruncatesAtPlacementEnd(t *testing.T) {
+	sys := NewSystem(DefaultConfig(), buildFuzzProgram(nil))
+	addi := func(r isa.Reg, imm int64, w int) trace.Inst {
+		return trace.Inst{Inst: isa.Inst{Op: isa.ADDI, Rd: r, Ra: r, Imm: imm}, Kind: trace.Normal, Weight: w}
+	}
+	pl1, err := sys.cache.Place(&trace.Trace{StartPC: 0x1000, Insts: []trace.Inst{
+		addi(5, 1, 1), addi(6, 2, 1), addi(7, 3, 2),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl2, err := sys.cache.Place(&trace.Trace{StartPC: 0x1000, Insts: []trace.Inst{
+		addi(8, 4, 1),
+		{Inst: isa.Inst{Op: isa.BR, Rd: isa.ZeroReg}, Kind: trace.ExitJump, ExitTarget: 0x1000},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := pl1.Start + isa.WordSize
+	if pl2.Start != pl1.End {
+		t.Fatalf("placements not adjacent: %#x vs %#x", pl1.End, pl2.Start)
+	}
+	if cb := sys.cache.CompiledAt(launch); cb == nil || cb.Len() != 3 {
+		t.Fatal("the block at the launch point must span both placements for this test")
+	}
+
+	th := sys.Thread()
+	th.SetPC(launch)
+	sys.curPl, sys.inTraversal = pl1, true
+	r6, r7, r8 := th.Reg(6), th.Reg(7), th.Reg(8)
+	sys.fastForward(1 << 20)
+
+	if th.PC() != pl1.End {
+		t.Fatalf("batch stopped at %#x, want the placement end %#x", th.PC(), pl1.End)
+	}
+	if th.Reg(6) != r6+2 || th.Reg(7) != r7+3 || th.Reg(8) != r8 {
+		t.Fatalf("registers after truncated batch: r6 %+d r7 %+d r8 %+d, want +2 +3 +0",
+			th.Reg(6)-r6, th.Reg(7)-r7, th.Reg(8)-r8)
+	}
+	if sys.origInstrs != 3 || sys.tiers[tierJIT].instrs != 3 {
+		t.Fatalf("origInstrs %d, compiled-tier instrs %d; want the prefix's weight 3 retired compiled",
+			sys.origInstrs, sys.tiers[tierJIT].instrs)
 	}
 }

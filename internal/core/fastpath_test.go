@@ -10,7 +10,7 @@ import (
 	"tridentsp/internal/workloads"
 )
 
-// The fast path (fastpath.go, cpu.ExecBlock) claims bit-identical machine
+// The fast path (fastpath.go, cpu.ExecCompiled) claims bit-identical machine
 // behaviour to the reference one-step loop. These tests prove it by running
 // every workload, a config ablation matrix, and every chaos preset twice —
 // once per path — and requiring Results (a comparable struct: == is the

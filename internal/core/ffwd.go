@@ -10,7 +10,7 @@ import (
 )
 
 // Sampled-simulation support (DESIGN §14). A sampled run alternates detailed
-// intervals — the ordinary three-tier engine, every statistic recorded — with
+// intervals — the ordinary detailed engine, every statistic recorded — with
 // functional fast-forward gaps where only architectural state advances. This
 // file owns the core half of that contract: moving the machine out of the
 // code cache, running the functional executor over the pristine image, and
@@ -35,10 +35,11 @@ func (s *System) Aborted() string { return s.aborted }
 func (s *System) Progress() uint64 { return s.origInstrs + s.ffwdInstrs }
 
 // TierInstrs reports weighted original instructions retired per execution
-// tier (reference loop, superblock batch, JIT). The sampling controller
-// folds the mix into its phase-detection signal vector.
+// tier: the reference loop (slow) and the compiled superblock chains (jit).
+// batch is always 0; it is kept only so callers that read three results
+// keep compiling.
 func (s *System) TierInstrs() (slow, batch, jit uint64) {
-	return s.tiers[tierSlow].instrs, s.tiers[tierBatch].instrs, s.tiers[tierJIT].instrs
+	return s.tiers[tierSlow].instrs, 0, s.tiers[tierJIT].instrs
 }
 
 // FastForward advances the machine n original instructions functionally:

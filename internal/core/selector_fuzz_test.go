@@ -9,9 +9,9 @@ import (
 // FuzzSelectorDeterminism is the arsenal selector's determinism oracle: the
 // same fuzz-built hot loop runs under the full arsenal (HWSelector, with
 // epochs small enough that probe rounds, exploit windows, and winner
-// switches all fire inside the run) on four execution paths — slow path,
-// batch engine, JIT tier, and a kill/resume run checkpointed mid-stream —
-// and the selector's decision log must be identical on all of them, down to
+// switches all fire inside the run) on three execution paths — slow path,
+// compiled fast path, and a kill/resume run checkpointed mid-stream — and
+// the selector's decision log must be identical on all of them, down to
 // the cycle each switch fired. This is the contract DESIGN §16 states:
 // switch points are a pure function of the committed load stream, never of
 // the engine that executed it.
@@ -39,22 +39,16 @@ func FuzzSelectorDeterminism(f *testing.F) {
 		}
 		slow := mk()
 		slow.DisableFastPath = true
-		batch := mk()
-		batch.JIT = false
-		jit := mk()
-		jit.JIT = true
-		jit.JITThreshold = 0
+		fast := mk()
 
 		sysS := NewSystem(slow, buildFuzzProgram(data))
-		sysB := NewSystem(batch, buildFuzzProgram(data))
-		sysJ := NewSystem(jit, buildFuzzProgram(data))
+		sysF := NewSystem(fast, buildFuzzProgram(data))
 		resS := sysS.Run(30_000)
-		resB := sysB.Run(30_000)
-		resJ := sysJ.Run(30_000)
+		resF := sysF.Run(30_000)
 
-		// Kill/resume leg: the batch config runs half, quiesces, serializes,
+		// Kill/resume leg: the fast config runs half, quiesces, serializes,
 		// and a freshly built machine restores and finishes.
-		sysK := NewSystem(batch, buildFuzzProgram(data))
+		sysK := NewSystem(fast, buildFuzzProgram(data))
 		resK := sysK.Run(15_000)
 		if resK.Aborted == "" && !sysK.Thread().Halted() {
 			if !sysK.Quiesce(1_000_000) {
@@ -64,7 +58,7 @@ func FuzzSelectorDeterminism(f *testing.F) {
 			if err != nil {
 				t.Fatalf("SaveState: %v", err)
 			}
-			fresh := NewSystem(batch, buildFuzzProgram(data))
+			fresh := NewSystem(fast, buildFuzzProgram(data))
 			if err := fresh.RestoreState(blob); err != nil {
 				t.Fatalf("RestoreState: %v", err)
 			}
@@ -77,7 +71,7 @@ func FuzzSelectorDeterminism(f *testing.F) {
 			name string
 			sys  *System
 			res  Results
-		}{{"batch", sysB, resB}, {"jit", sysJ, resJ}, {"kill-resume", sysK, resK}} {
+		}{{"fast", sysF, resF}, {"kill-resume", sysK, resK}} {
 			if cmp.res != resS {
 				t.Fatalf("Results diverged\n%s: %+v\nslow: %+v", cmp.name, cmp.res, resS)
 			}

@@ -107,14 +107,13 @@ func (s *System) sentinelVerify() {
 	s.demoteFastPath() // also disarms this sentinel
 }
 
-// demoteFastPath quarantines both accelerated tiers for the rest of the run:
-// the reference loop becomes the only executor, and every compiled closure
+// demoteFastPath quarantines the fast path for the rest of the run: the
+// reference loop becomes the only executor, and every compiled closure
 // chain is dropped eagerly (the lazy generation guard would never run again
 // once the fast path is off, so without the drop the dead chains would stay
 // pinned).
 func (s *System) demoteFastPath() {
 	s.cfg.DisableFastPath = true
-	s.cfg.JIT = false
 	s.live.DropCompiled()
 	s.cache.DropCompiled()
 }

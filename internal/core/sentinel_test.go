@@ -112,15 +112,13 @@ func TestSentinelCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSentinelQuarantinesJIT: a sentinel trip on a machine running the JIT
-// tier must quarantine the tier alongside the batch engine — fast path off,
-// JIT off, every compiled closure chain dropped eagerly — and the demoted
-// remainder must still heal to the results of an uncorrupted machine.
+// TestSentinelQuarantinesJIT: a sentinel trip on a machine running compiled
+// chains must quarantine the fast path — fast path off, every compiled
+// closure chain dropped eagerly — and the demoted remainder must still heal
+// to the results of an uncorrupted machine.
 func TestSentinelQuarantinesJIT(t *testing.T) {
 	bm, _ := workloads.ByName("mcf")
 	cfg := sentinelConfigForTest()
-	cfg.JIT = true
-	cfg.JITThreshold = 0 // compile everything: chains are resident at the trip
 
 	clean := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 	resClean := clean.Run(200_000)
@@ -130,36 +128,29 @@ func TestSentinelQuarantinesJIT(t *testing.T) {
 	resFaulty := faulty.Run(200_000)
 
 	if resFaulty.SentinelTrips == 0 {
-		t.Fatal("sentinel missed the injected corruption under -jit")
+		t.Fatal("sentinel missed the injected corruption")
 	}
 	if faulty.tiers[tierJIT].instrs == 0 {
-		t.Fatal("JIT tier never ran before the trip; quarantine test is vacuous")
+		t.Fatal("compiled chains never ran before the trip; quarantine test is vacuous")
 	}
-	if !faulty.cfg.DisableFastPath || faulty.cfg.JIT {
-		t.Fatalf("demotion left accelerated tiers armed: DisableFastPath=%v JIT=%v",
-			faulty.cfg.DisableFastPath, faulty.cfg.JIT)
+	if !faulty.cfg.DisableFastPath {
+		t.Fatal("demotion left the fast path armed")
 	}
 	// Every compiled chain must be gone from both decoded images — the lazy
 	// generation guard never runs once the fast path is off, so anything
 	// still resident here is pinned for the rest of the run.
-	prog := faulty.pristine
-	for pc := prog.Base; pc < prog.CodeEnd(); pc += 8 {
-		if faulty.live.CompiledAt(pc) != nil {
-			t.Fatalf("live image still holds a compiled chain at %#x", pc)
-		}
+	if n := faulty.live.BlockStats().Resident; n != 0 {
+		t.Fatalf("live image still holds %d compiled chains", n)
 	}
-	ccBase := faulty.cache.Base()
-	for pc := ccBase; pc < ccBase+uint64(faulty.cache.Size()); pc += 8 {
-		if faulty.cache.CompiledAt(pc) != nil {
-			t.Fatalf("code cache still holds a compiled chain at %#x", pc)
-		}
+	if n := faulty.cache.BlockStats().Resident; n != 0 {
+		t.Fatalf("code cache still holds %d compiled chains", n)
 	}
 
 	if resFaulty.Aborted != "" {
 		t.Fatalf("healing aborted the run: %s", resFaulty.Aborted)
 	}
 	if zeroSentinel(resFaulty) != zeroSentinel(resClean) {
-		t.Errorf("healed -jit run diverged from clean run\nclean:  %+v\nhealed: %+v",
+		t.Errorf("healed run diverged from clean run\nclean:  %+v\nhealed: %+v",
 			resClean, resFaulty)
 	}
 	for r := 0; r < 32; r++ {

@@ -120,18 +120,17 @@ type System struct {
 	stats      runStats
 
 	// Per-tier residency (DESIGN §13): weighted instructions and cycles
-	// retired on the reference loop, the interpreting batch engine, and the
-	// JIT tier. Engine-class telemetry: exported through the metrics
-	// registry only, never part of Results and never serialized, so reports
-	// stay byte-identical across engine choices and restores.
+	// retired on the reference loop and through compiled superblock chains.
+	// Engine-class telemetry: exported through the metrics registry only,
+	// never part of Results and never serialized, so reports stay
+	// byte-identical across engine choices and restores.
 	tiers [numTiers]tierStat
 }
 
 // Execution tiers (tierStat indices).
 const (
-	tierSlow  = iota // reference one-step loop
-	tierBatch        // superblock interpreter (ExecSuperBlock)
-	tierJIT          // compiled closure chains (ExecCompiled)
+	tierSlow = iota // reference one-step loop
+	tierJIT         // compiled closure chains (ExecCompiled)
 	numTiers
 )
 
@@ -142,7 +141,7 @@ type tierStat struct {
 }
 
 // tierNames label the tiers in the metrics registry.
-var tierNames = [numTiers]string{"slow", "batch", "jit"}
+var tierNames = [numTiers]string{"slow", "jit"}
 
 // runStats accumulates core-level statistics during Run.
 type runStats struct {
@@ -289,14 +288,8 @@ func (s *System) setPatched(pc uint64, v bool) {
 // Thread exposes the main hardware context (register setup for workloads).
 func (s *System) Thread() *cpu.Thread { return s.thread }
 
-// Hierarchy exposes the memory system (examples and tests inspect stats).
-func (s *System) Hierarchy() *memsys.Hierarchy { return s.hier }
-
 // Optimizer exposes the prefetch optimizer (nil when SW is off).
 func (s *System) Optimizer() *prefetch.Optimizer { return s.opt }
-
-// DLT exposes the delinquent load table (nil without Trident).
-func (s *System) DLT() *dlt.Table { return s.table }
 
 // HWPref exposes the arsenal prefetch selector (nil unless Config.HW
 // selects an arsenal backend); the determinism and re-convergence suites

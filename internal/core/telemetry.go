@@ -56,11 +56,10 @@ func (s *System) snapshotMetrics() {
 
 	lb := s.live.BlockStats()
 	cb := s.cache.BlockStats()
-	u("blockcache_hits", lb.Hits+cb.Hits)
 	u("blockcache_rebuilds", lb.Rebuilds+cb.Rebuilds)
 	u("blockcache_invalidations", lb.Invalidations+cb.Invalidations)
 
-	// Three-tier engine residency (DESIGN §13). Engine-class: which tier
+	// Engine residency (DESIGN §13). Engine-class: which tier
 	// retired an instruction is path-dependent by nature, so these live in
 	// the registry only and never migrate into Results.
 	u("jit_compiles", lb.Compiles+cb.Compiles)

@@ -34,11 +34,47 @@ func newTestThread(p *program.Program) (*Thread, *ProgramSpace) {
 	return th, ps
 }
 
-// TestExecBlockMatchesStep drives the same instruction sequence through the
-// one-step interpreter and through block execution and requires identical
-// architectural and timing state, including taint (observable through LD
-// stall classification in real runs, compared here directly).
-func TestExecBlockMatchesStep(t *testing.T) {
+// runRef drives a thread through the one-step interpreter to completion.
+func runRef(th *Thread) {
+	for !th.Halted() {
+		th.Step()
+	}
+}
+
+// assertSameState compares the complete architectural, timing, taint, and
+// memory-system state of two threads.
+func assertSameState(t *testing.T, got, want *Thread) {
+	t.Helper()
+	if got.PC() != want.PC() {
+		t.Errorf("pc diverged: compiled %#x, step %#x", got.PC(), want.PC())
+	}
+	if got.Now() != want.Now() {
+		t.Errorf("cycle diverged: compiled %d, step %d", got.Now(), want.Now())
+	}
+	if got.Committed() != want.Committed() {
+		t.Errorf("committed diverged: compiled %d, step %d", got.Committed(), want.Committed())
+	}
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if got.Reg(r) != want.Reg(r) {
+			t.Errorf("r%d diverged: compiled %#x, step %#x", r, got.Reg(r), want.Reg(r))
+		}
+		if got.taintSrc[r] != want.taintSrc[r] {
+			t.Errorf("taint[r%d] diverged: compiled %#x, step %#x",
+				r, got.taintSrc[r], want.taintSrc[r])
+		}
+	}
+	if got.hier.Stats != want.hier.Stats {
+		t.Errorf("memsys stats diverged:\ncompiled %+v\nstep     %+v",
+			got.hier.Stats, want.hier.Stats)
+	}
+}
+
+// TestExecCompiledALUMatchesStep drives a run of every plain ALU shape —
+// register-register, immediate, LDIH, FP, NOP, and LDA — through one
+// compiled chain and through the one-step interpreter and requires
+// identical architectural, timing, and taint state (taint is observable
+// through LD stall classification in real runs, compared here directly).
+func TestExecCompiledALUMatchesStep(t *testing.T) {
 	seq := []isa.Inst{
 		{Op: isa.LDI, Rd: 1, Imm: 7},
 		{Op: isa.LDI, Rd: 2, Imm: 9},
@@ -60,47 +96,31 @@ func TestExecBlockMatchesStep(t *testing.T) {
 	p := buildProgram(t, seq)
 
 	ref, _ := newTestThread(p)
-	for !ref.Halted() {
-		ref.Step()
-	}
+	runRef(ref)
 
 	th, ps := newTestThread(p)
-	blk, ok := ps.BlockAt(th.PC())
-	if !ok {
-		t.Fatal("no block at entry")
+	cb := ps.CompiledAt(th.PC())
+	if cb == nil {
+		t.Fatal("no chain at entry")
 	}
-	if want := len(seq) - 1; len(blk.Insts) != want {
-		t.Fatalf("block length %d, want %d (everything before HALT)", len(blk.Insts), want)
+	if want := len(seq) - 1; cb.Len() != want {
+		t.Fatalf("chain length %d, want %d (everything before HALT)", cb.Len(), want)
 	}
-	n, w := th.ExecBlock(blk, math.MaxUint64, math.MaxInt64)
-	if n != len(blk.Insts) || w != uint64(n) {
-		t.Fatalf("ExecBlock retired %d (weight %d), want %d", n, w, len(blk.Insts))
+	ex := th.ExecCompiled(cb, math.MaxUint64, math.MaxInt64, nil)
+	if ex.N != cb.Len() || ex.Weight != uint64(ex.N) || ex.NeedSlow {
+		t.Fatalf("chain retired %+v, want all %d", ex, cb.Len())
 	}
 	th.Step() // the HALT
-
 	if !th.Halted() {
 		t.Fatal("thread did not halt")
 	}
-	if th.Now() != ref.Now() {
-		t.Errorf("cycle diverged: block %d, step %d", th.Now(), ref.Now())
-	}
-	if th.Committed() != ref.Committed() {
-		t.Errorf("committed diverged: block %d, step %d", th.Committed(), ref.Committed())
-	}
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if th.Reg(r) != ref.Reg(r) {
-			t.Errorf("r%d diverged: block %#x, step %#x", r, th.Reg(r), ref.Reg(r))
-		}
-		if th.taintSrc[r] != ref.taintSrc[r] {
-			t.Errorf("taint[r%d] diverged: block %#x, step %#x", r, th.taintSrc[r], ref.taintSrc[r])
-		}
-	}
+	assertSameState(t, th, ref)
 }
 
-// TestExecBlockStopsAtBudgetAndHorizon pins the stop semantics: the final
+// TestExecCompiledStopsAtBudgetAndHorizon pins the stop semantics: the final
 // retired instruction is exactly the one whose commit crossed the weight
 // budget or the cycle horizon, never one earlier or later.
-func TestExecBlockStopsAtBudgetAndHorizon(t *testing.T) {
+func TestExecCompiledStopsAtBudgetAndHorizon(t *testing.T) {
 	var seq []isa.Inst
 	for i := 0; i < 32; i++ {
 		seq = append(seq, isa.Inst{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: 1})
@@ -109,19 +129,19 @@ func TestExecBlockStopsAtBudgetAndHorizon(t *testing.T) {
 	p := buildProgram(t, seq)
 
 	th, ps := newTestThread(p)
-	blk, _ := ps.BlockAt(th.PC())
-	n, w := th.ExecBlock(blk, 5, math.MaxInt64)
-	if n != 5 || w != 5 {
-		t.Fatalf("budget stop: retired %d (weight %d), want 5", n, w)
+	ex := th.ExecCompiled(ps.CompiledAt(th.PC()), 5, math.MaxInt64, nil)
+	if ex.N != 5 || ex.Weight != 5 {
+		t.Fatalf("budget stop: %+v, want 5 retired", ex)
 	}
 	if got := th.Reg(1); got != 5 {
 		t.Fatalf("r1 = %d after 5 adds, want 5", got)
 	}
+	if th.PC() != 0x1000+5*isa.WordSize {
+		t.Fatalf("pc = %#x after budget stop, want %#x", th.PC(), 0x1000+5*isa.WordSize)
+	}
 
-	// Horizon stop: with IssueWidth 4, instruction k commits at cycle
-	// ceil(k/4); horizon 2 is crossed by the 8th remaining instruction
-	// (committed count 13 total => Now()==3... computed against the
-	// reference below instead of by hand).
+	// Horizon stop: the reference loop runs until its clock reaches the
+	// horizon; the chain must retire exactly as many instructions.
 	th2, ps2 := newTestThread(p)
 	ref, _ := newTestThread(p)
 	horizon := int64(3)
@@ -130,20 +150,16 @@ func TestExecBlockStopsAtBudgetAndHorizon(t *testing.T) {
 		ref.Step()
 		steps++
 	}
-	blk2, _ := ps2.BlockAt(th2.PC())
-	n2, _ := th2.ExecBlock(blk2, math.MaxUint64, horizon)
-	if n2 != steps {
-		t.Fatalf("horizon stop after %d instructions, reference loop stopped after %d", n2, steps)
+	ex2 := th2.ExecCompiled(ps2.CompiledAt(th2.PC()), math.MaxUint64, horizon, nil)
+	if ex2.N != steps {
+		t.Fatalf("horizon stop after %d instructions, reference loop stopped after %d", ex2.N, steps)
 	}
-	if th2.Now() != ref.Now() {
-		t.Fatalf("horizon stop cycle %d, reference %d", th2.Now(), ref.Now())
-	}
+	assertSameState(t, th2, ref)
 }
 
 // TestBlockCacheMidRunPatch is the block-invalidation contract test: patch
-// an instruction mid-run — after its block descriptor has been built and
-// partially executed — and assert the rewritten instruction is what executes
-// next.
+// an instruction mid-run — after its chain has been compiled and partially
+// executed — and assert the rewritten instruction is what executes next.
 func TestBlockCacheMidRunPatch(t *testing.T) {
 	seq := []isa.Inst{
 		{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: 1}, // 0x1000
@@ -155,17 +171,20 @@ func TestBlockCacheMidRunPatch(t *testing.T) {
 	p := buildProgram(t, seq)
 	th, ps := newTestThread(p)
 
-	// Build and run the first two instructions of the 4-instruction block.
-	blk, ok := ps.BlockAt(0x1000)
-	if !ok || len(blk.Insts) != 4 {
-		t.Fatalf("block at entry: ok=%v len=%d, want 4", ok, len(blk.Insts))
+	// Compile and run the first two instructions of the 4-instruction block.
+	cb := ps.CompiledAt(0x1000)
+	if cb == nil || cb.Len() != 4 {
+		t.Fatalf("chain at entry: %v, want 4 instructions", cb)
 	}
-	if n, _ := th.ExecBlock(blk, 2, math.MaxInt64); n != 2 {
-		t.Fatalf("retired %d, want 2", n)
+	if ex := th.ExecCompiled(cb, 2, math.MaxInt64, nil); ex.N != 2 {
+		t.Fatalf("retired %d, want 2", ex.N)
 	}
 	if th.PC() != 0x1010 {
 		t.Fatalf("pc = %#x, want 0x1010", th.PC())
 	}
+	// The chain at the resume point exists before the patch, so staleness
+	// is actually possible.
+	stale := ps.CompiledAt(th.PC())
 
 	// Mid-run rewrite of the next instruction (the self-repair primitive is
 	// exactly this: an in-place immediate/word rewrite of placed code).
@@ -177,20 +196,17 @@ func TestBlockCacheMidRunPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The stale descriptor must be gone: the new block starts with the
-	// rewritten instruction, and executing it yields the new semantics.
-	blk2, ok := ps.BlockAt(th.PC())
-	if !ok {
-		t.Fatal("no block after patch")
+	// The stale chain must be gone: the new chain starts with the rewritten
+	// instruction, and executing it yields the new semantics.
+	cb2 := ps.CompiledAt(th.PC())
+	if cb2 == nil || cb2 == stale {
+		t.Fatalf("chain not invalidated by the patch: %p (stale %p)", cb2, stale)
 	}
-	if blk2.Insts[0].Op != isa.LDI || blk2.Insts[0].Imm != 99 {
-		t.Fatalf("block not invalidated: first inst %+v", blk2.Insts[0])
-	}
-	if n, _ := th.ExecBlock(blk2, 1, math.MaxInt64); n != 1 {
+	if ex := th.ExecCompiled(cb2, 1, math.MaxInt64, nil); ex.N != 1 {
 		t.Fatal("patched instruction did not execute")
 	}
 	if got := th.Reg(2); got != 99 {
-		t.Fatalf("r2 = %d after patched LDI, want 99 (stale block executed)", got)
+		t.Fatalf("r2 = %d after patched LDI, want 99 (stale chain executed)", got)
 	}
 
 	// Patching an eligible word into an ineligible one must split the run.
@@ -198,17 +214,17 @@ func TestBlockCacheMidRunPatch(t *testing.T) {
 	if err := ps.Patch(0x1018, hw); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ps.BlockAt(0x1018); ok {
-		t.Fatal("block descriptor survived a patch to an ineligible opcode")
+	if ps.CompiledAt(0x1018) != nil {
+		t.Fatal("chain survived a patch to an ineligible opcode")
 	}
-	if blk3, ok := ps.BlockAt(0x1000); !ok || len(blk3.Insts) != 3 {
-		t.Fatalf("run not re-split after patch: ok=%v len=%d, want 3", ok, len(blk3.Insts))
+	if cb3 := ps.CompiledAt(0x1000); cb3 == nil || cb3.Len() != 3 {
+		t.Fatalf("run not re-split after patch: %v, want 3 instructions", cb3)
 	}
 }
 
 // TestBlockMembership pins the opcode partition: stall-charging and
 // indirect-control ops must never enter a superblock; memory ops and
-// conditional branches are members with their own kinds (the executor
+// conditional branches are members with their own kinds (the compiler
 // relies on branches only ever appearing via memberBranch, i.e. last).
 func TestBlockMembership(t *testing.T) {
 	excluded := []isa.Op{isa.FDIV, isa.BR, isa.JMP, isa.HALT}
@@ -241,10 +257,11 @@ func TestBlockMembership(t *testing.T) {
 	}
 }
 
-// TestExecBlockInterference pins the issue-tax accounting: a block executed
-// under helper-thread interference charges the same inflated issue cost the
-// one-step loop does.
-func TestExecBlockInterference(t *testing.T) {
+// TestExecCompiledInterference pins the issue-tax accounting: a chain
+// executed under helper-thread interference charges the same inflated issue
+// cost the one-step loop does, on both the fused-run fast case and the
+// stepwise tail a budget stop forces.
+func TestExecCompiledInterference(t *testing.T) {
 	var seq []isa.Inst
 	for i := 0; i < 16; i++ {
 		seq = append(seq, isa.Inst{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: 1})
@@ -254,17 +271,50 @@ func TestExecBlockInterference(t *testing.T) {
 
 	ref, _ := newTestThread(p)
 	ref.SetInterference(true)
-	for !ref.Halted() {
-		ref.Step()
-	}
+	runRef(ref)
 
 	th, ps := newTestThread(p)
 	th.SetInterference(true)
-	blk, _ := ps.BlockAt(th.PC())
-	th.ExecBlock(blk, math.MaxUint64, math.MaxInt64)
+	th.ExecCompiled(ps.CompiledAt(th.PC()), 5, math.MaxInt64, nil) // stepwise tail
+	th.ExecCompiled(ps.CompiledAt(th.PC()), math.MaxUint64, math.MaxInt64, nil)
 	th.Step()
-	if th.Now() != ref.Now() {
-		t.Fatalf("interfering cycle count %d, reference %d", th.Now(), ref.Now())
+	assertSameState(t, th, ref)
+}
+
+// TestBlockCacheShrinkGrow pins the SetSource length contract: re-pointing
+// the cache at a shorter image trims the entry table, and growing it again
+// yields correct chain lengths everywhere (no stale chains).
+func TestBlockCacheShrinkGrow(t *testing.T) {
+	mk := func(n int) []isa.Inst {
+		insts := make([]isa.Inst, n)
+		for i := range insts {
+			insts[i] = isa.Inst{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: 1}
+		}
+		return insts
+	}
+	c := NewBlockCache(0)
+	c.SetSource(mk(8), nil)
+	if cb := c.CompiledAt(0); cb == nil || cb.Len() != 8 {
+		t.Fatalf("initial image: %v, want 8 instructions", cb)
+	}
+
+	c.SetSource(mk(3), nil)
+	if len(c.ents) != 3 {
+		t.Fatalf("ents not trimmed: len=%d, want 3", len(c.ents))
+	}
+	if cb := c.CompiledAt(0); cb == nil || cb.Len() != 3 {
+		t.Fatalf("shrunk image: %v, want 3 instructions", cb)
+	}
+	if c.CompiledAt(5*isa.WordSize) != nil {
+		t.Fatal("chain reported beyond the shrunk image")
+	}
+
+	c.SetSource(mk(6), nil)
+	if cb := c.CompiledAt(0); cb == nil || cb.Len() != 6 {
+		t.Fatalf("regrown image: %v, want 6 instructions", cb)
+	}
+	if cb := c.CompiledAt(4 * isa.WordSize); cb == nil || cb.Len() != 2 {
+		t.Fatalf("regrown tail: %v, want 2 instructions", cb)
 	}
 }
 
@@ -291,20 +341,16 @@ func TestBlockCacheRegrowthReuse(t *testing.T) {
 
 	c := NewBlockCache(0)
 	c.SetSource(mk(0), nil)
-	_, cb1, ok := c.AtCompiled(0, 0) // threshold 0: compile on first use
-	if !ok || cb1 == nil {
-		t.Fatalf("initial compile: ok=%v cb=%v", ok, cb1)
+	cb1 := c.CompiledAt(0)
+	if cb1 == nil {
+		t.Fatal("initial compile failed")
 	}
 	base := c.Stats()
 
 	// Append-style regrowth: same prefix content, longer image.
 	c.SetSource(mk(5), nil)
-	if got := c.CompiledAt(0); got != nil {
-		t.Fatal("CompiledAt served a gen-stale chain without revalidation")
-	}
-	_, cb2, ok := c.AtCompiled(0, 0)
-	if !ok || cb2 != cb1 {
-		t.Fatalf("regrowth reuse: ok=%v cb2=%p want %p (revalidated chain)", ok, cb2, cb1)
+	if cb2 := c.CompiledAt(0); cb2 != cb1 {
+		t.Fatalf("regrowth reuse: %p, want %p (revalidated chain)", cb2, cb1)
 	}
 	s := c.Stats()
 	if s.Revalidations != base.Revalidations+1 {
@@ -313,24 +359,21 @@ func TestBlockCacheRegrowthReuse(t *testing.T) {
 	if s.Compiles != base.Compiles {
 		t.Fatalf("Compiles = %d, want %d (reuse must not recompile)", s.Compiles, base.Compiles)
 	}
-	if got := c.CompiledAt(0); got != cb1 {
-		t.Fatalf("CompiledAt after revalidation = %p, want %p", got, cb1)
-	}
 
-	// A block past the old image length must be compilable: the entry arrays
-	// must cover the grown image (the regrowth-pinning bug left them at the
-	// old length).
+	// A block past the old image length must be compilable: the entry array
+	// must cover the grown image (the regrowth-pinning bug left it at the old
+	// length).
 	tailPC := uint64(3) * isa.WordSize
-	if _, cbT, ok := c.AtCompiled(tailPC, 0); !ok || cbT == nil {
-		t.Fatalf("appended-region compile: ok=%v cb=%v", ok, cbT)
+	if c.CompiledAt(tailPC) == nil {
+		t.Fatal("appended-region compile failed")
 	}
 
 	// Changed content at the same index must recompile, not reuse.
 	changed := mk(5)
 	changed[1].Imm = 99
 	c.SetSource(changed, nil)
-	_, cb3, ok := c.AtCompiled(0, 0)
-	if !ok || cb3 == nil {
+	cb3 := c.CompiledAt(0)
+	if cb3 == nil {
 		t.Fatal("recompile after content change failed")
 	}
 	if cb3 == cb1 {
@@ -343,10 +386,14 @@ func TestBlockCacheRegrowthReuse(t *testing.T) {
 
 	// Truncation drops the carried tail; lookups past the new end miss clean.
 	c.SetSource(mk(5)[:2], nil)
-	if got := c.CompiledAt(tailPC); got != nil {
+	if c.CompiledAt(tailPC) != nil {
 		t.Fatal("truncated tail still served a compiled chain")
 	}
-	if _, _, ok := c.AtCompiled(tailPC, 0); ok {
-		t.Fatal("AtCompiled past truncated end reported ok")
+	if got := c.Stats().Resident; got != 1 {
+		t.Fatalf("Resident = %d after truncation, want 1 (the carried head)", got)
+	}
+	c.DropCompiled()
+	if got := c.Stats().Resident; got != 0 {
+		t.Fatalf("Resident = %d after DropCompiled, want 0", got)
 	}
 }

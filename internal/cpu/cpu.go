@@ -114,22 +114,14 @@ func (s *ProgramSpace) Patch(pc uint64, w uint64) error {
 	return nil
 }
 
-// BlockAt returns the straight-line block starting at pc (see BlockCache).
-func (s *ProgramSpace) BlockAt(pc uint64) (Block, bool) {
-	return s.blocks.At(pc)
-}
-
-// BlockAtJIT is BlockAt through the JIT tier (see BlockCache.AtCompiled).
-func (s *ProgramSpace) BlockAtJIT(pc uint64, threshold uint32) (Block, *CompiledBlock, bool) {
-	return s.blocks.AtCompiled(pc, threshold)
-}
-
-// CompiledAt is the launch-hot chain lookup (see BlockCache.CompiledAt).
+// CompiledAt returns the compiled superblock starting at pc, or nil when
+// none starts there (see BlockCache.CompiledAt).
 func (s *ProgramSpace) CompiledAt(pc uint64) *CompiledBlock {
 	return s.blocks.CompiledAt(pc)
 }
 
-// DropCompiled eagerly discards the JIT tier (sentinel demotion, restore).
+// DropCompiled eagerly discards every compiled chain (sentinel demotion,
+// restore).
 func (s *ProgramSpace) DropCompiled() { s.blocks.DropCompiled() }
 
 // BlockStats returns the block cache's activity counters.

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"sync"
 
 	"tridentsp/internal/isa"
@@ -8,23 +9,102 @@ import (
 )
 
 // This file implements the third level of the simulator's fast path: a
-// threaded-code JIT over superblocks. Compile lowers a Block into a chain of
-// specialized Go closures — register indices and immediates folded into
-// captures, the zero-register and taint-propagation cases resolved at compile
-// time, runs of plain ALU instructions fused into a single call, branch
-// targets precomputed — and ExecCompiled drives the chain with exactly the
-// stop/resume and SBHooks semantics of ExecSuperBlock. The compiled form
-// captures no slice of the source image (everything it needs is copied into
-// the segment descriptors), so a CompiledBlock never pins a patched-over
-// image and is invalidated for free by the block cache's generation counter.
+// threaded-code compiler over superblocks. Compile lowers a Block into a
+// chain of specialized Go closures — register indices and immediates folded
+// into captures, the zero-register and taint-propagation cases resolved at
+// compile time, runs of plain ALU instructions fused into a single call,
+// branch targets precomputed — and ExecCompiled drives the chain. Loads run
+// through the hierarchy's L1-hit fast probe, stores and prefetches through
+// their direct hierarchy calls, and the terminating conditional branch
+// through the real predictor, folding a taken back-edge onto the block entry
+// so whole loop iterations retire per call. Whenever an instruction cannot
+// be proven equivalent to the full Step dispatch (a load the fast probe
+// declines, a missing memory system), the chain stops *before* that
+// instruction with exact architectural state, so the caller's one-step loop
+// resumes on precisely the instruction that needs the slow path.
 //
-// The equivalence obligation is the same as ExecSuperBlock's, inherited
-// opcode by opcode: post-commit stop conditions (weight budget, issue-unit
-// horizon cap, block end) are evaluated after each commit, NeedSlow stops
-// happen *before* the offending instruction, hooked loads and branches
-// pre-stop near the horizon, and a taken back-edge folds to the block entry
-// under the identical conditions. TestExecCompiledMatchesInterpreter and the
-// three-way differential fuzzer hold the two executors bit-identical.
+// The compiled form captures no slice of the source image (everything it
+// needs is copied into the segment descriptors), so a CompiledBlock never
+// pins a patched-over image and is invalidated for free by the block
+// cache's generation counter. The equivalence obligation is Step's, opcode
+// by opcode: post-commit stop conditions (weight budget, issue-unit horizon
+// cap, block end) are evaluated after each commit, NeedSlow stops happen
+// *before* the offending instruction, hooked loads and branches pre-stop
+// near the horizon, and a taken back-edge folds only while no stop
+// condition holds. The lockstep tests in jit_test.go and the core's
+// slow-versus-fast differential fuzzer hold the chain bit-identical to the
+// one-step loop.
+
+// SBHooks lets the simulation core observe batched instructions that its
+// slow path would have monitored, without ExecCompiled knowing anything
+// about Trident. All fields are optional; a nil hook skips the observation
+// (and its cost) entirely.
+type SBHooks struct {
+	// Load is called after each LD commits (post issue charge, so now is the
+	// same post-commit cycle the slow path's StepInfo.Now would report).
+	// Returning true ends the batch after this instruction — used when the
+	// observation raised an event the between-batch machinery must see at
+	// exactly this boundary.
+	Load func(pc, addr, value uint64, res memsys.Result, now int64) bool
+	// Branch is called after a conditional branch commits (and after any
+	// misprediction stall was charged). Returning true ends the batch.
+	// When Branch is non-nil, branches near the horizon conservatively
+	// pre-stop (accounting for a possible misprediction penalty) so a hook
+	// never observes an instruction that crossed the horizon.
+	Branch func(pc uint64, in *isa.Inst, taken bool, now int64) bool
+	// LoopBack is called when a taken branch folds back to the block entry
+	// and the batch continues: the entry instruction is guaranteed to
+	// re-execute within this batch. now is the branch's post-commit cycle.
+	LoopBack func(now int64)
+}
+
+// SBExec reports what one ExecCompiled call did.
+type SBExec struct {
+	// N is the number of instructions retired; Weight their total weight.
+	N      int
+	Weight uint64
+	// Loads counts retired LD instructions; WouldMiss counts those whose
+	// L1 hit was a first-use prefetched line (Outcome == HitPrefetched) —
+	// the only "would have missed without prefetching" case a fast-path
+	// load can be, since a real L1 miss declines the probe.
+	Loads     uint32
+	WouldMiss uint32
+	// NeedSlow is true when the batch stopped *before* an instruction that
+	// requires the full Step dispatch; t.PC() addresses that instruction.
+	// NeedSlow with N == 0 means not even the first instruction was viable.
+	NeedSlow bool
+}
+
+// sbCaps converts the horizon into fixed-point issue-unit caps under the
+// current stallCycles. unitsCap is the exact post-commit bound ("commit at
+// or past the horizon" ⟺ issueUnits >= unitsCap). brCap is the conservative
+// pre-commit bound for hooked branches: it additionally reserves a full
+// misprediction penalty, so a branch that passes `issueUnits+units < brCap`
+// cannot cross the horizon even if it mispredicts. Both must be recomputed
+// whenever stallCycles changes.
+func (t *Thread) sbCaps(horizon int64, needBr bool) (unitsCap, brCap int64) {
+	unitsCap, brCap = math.MaxInt64, math.MaxInt64
+	if horizon == math.MaxInt64 {
+		return
+	}
+	rem := horizon - t.stallCycles
+	switch {
+	case rem <= 0:
+		unitsCap = 0
+	case rem <= t.maxCapCycles:
+		unitsCap = rem * t.unitsPerCycle
+	}
+	if needBr {
+		rem -= t.cfg.MispredictPenalty
+		switch {
+		case rem <= 0:
+			brCap = 0
+		case rem <= t.maxCapCycles:
+			brCap = rem * t.unitsPerCycle
+		}
+	}
+	return
+}
 
 // segKind classifies one compiled segment.
 type segKind uint8
@@ -57,29 +137,26 @@ type jitSeg struct {
 	imm    uint64
 
 	// segBranch: specialized direction test, precomputed taken target, and
-	// whether the taken edge folds back to the block entry. in keeps a copy
-	// of the instruction for the branch hook.
+	// whether the taken edge folds back to the block entry.
 	cond   func(*Thread) bool
 	target uint64
 	isLoop bool
-	in     isa.Inst
 }
 
 // CompiledBlock is one superblock lowered to a closure chain. It is immutable
 // after Compile and holds no reference to the decoded image it came from.
 type CompiledBlock struct {
-	entry   uint64
-	n       int
-	segs    []jitSeg
-	ops     []func(*Thread) // per-instruction closures for stepwise ALU tails
-	weights []uint64        // per-instruction weights (1 when the source had none)
+	entry uint64
+	n     int
+	segs  []jitSeg
+	ops   []func(*Thread) // per-instruction closures for stepwise ALU tails
 
 	// srcInsts/srcWeights are private copies of the source block, kept so a
 	// generation bump can revalidate the chain by content instead of
 	// recompiling it. Self-repair patches one immediate at a time but the
 	// counter bump invalidates every block in the image; comparing a few
-	// dozen words per block is far cheaper than re-warming and recompiling
-	// the whole compiled tier after every PatchImm.
+	// dozen words per block is far cheaper than recompiling every chain
+	// after every PatchImm.
 	srcInsts   []isa.Inst
 	srcWeights []int
 }
@@ -106,11 +183,32 @@ func (cb *CompiledBlock) Matches(b Block) bool {
 	return true
 }
 
+// weight returns instruction k's original-instruction weight.
+func (cb *CompiledBlock) weight(k int) uint64 {
+	if cb.srcWeights == nil {
+		return 1
+	}
+	return uint64(cb.srcWeights[k])
+}
+
 // Entry returns the block's entry address (test helper).
 func (cb *CompiledBlock) Entry() uint64 { return cb.entry }
 
-// Len returns the instruction count (test helper).
+// Len returns the instruction count.
 func (cb *CompiledBlock) Len() int { return cb.n }
+
+// Prefix returns the chain for the first n instructions of cb's block
+// (0 < n < Len()), compiled through the shared cache like any other block —
+// the cache keys on block length, so the prefix is its own chain. The core
+// uses it for an in-trace block that would otherwise run past its
+// placement's end.
+func (cb *CompiledBlock) Prefix(n int) *CompiledBlock {
+	b := Block{Insts: cb.srcInsts[:n]}
+	if cb.srcWeights != nil {
+		b.Weights = cb.srcWeights[:n]
+	}
+	return Compile(b, cb.entry)
+}
 
 // jitNop is the compiled form of NOP (and of any ALU write to the hardwired
 // zero register, which has no architectural effect).
@@ -233,9 +331,9 @@ func compileCond(op isa.Op, ra isa.Reg) func(*Thread) bool {
 // so a collision degrades to a recompile, never to wrong code.
 //
 // The cache is sharded by key hash: parallel sampled windows run many
-// Systems of the same workload concurrently, all compiling the same hot
+// Systems of the same workload concurrently, all compiling the same
 // blocks at once, and a single mutex over one map serialized every
-// promotion across the pool (visible as lock contention in the race-leg
+// compile across the pool (visible as lock contention in the race-leg
 // profiles). Sixteen shards with per-shard mutexes keep the fast path one
 // uncontended lock.
 const jitShardCount = 16 // power of two; shard picked from the content hash
@@ -285,7 +383,7 @@ func blockKey(b Block, entry uint64) jitKey {
 // CompiledBlock, consulting the shared cache first. b must be a well-formed
 // superblock (member instructions only, at most one conditional branch, in
 // final position); Compile returns nil if it encounters anything else, and
-// the caller falls back to the interpreter.
+// the caller falls back to the one-step loop.
 func Compile(b Block, entry uint64) *CompiledBlock {
 	if len(b.Insts) == 0 {
 		return nil
@@ -324,18 +422,10 @@ func compileBlock(b Block, entry uint64) *CompiledBlock {
 		entry:    entry,
 		n:        n,
 		ops:      make([]func(*Thread), n),
-		weights:  make([]uint64, n),
 		srcInsts: append([]isa.Inst(nil), b.Insts...),
 	}
 	if b.Weights != nil {
 		cb.srcWeights = append([]int(nil), b.Weights...)
-	}
-	for i := 0; i < n; i++ {
-		if b.Weights != nil {
-			cb.weights[i] = uint64(b.Weights[i])
-		} else {
-			cb.weights[i] = 1
-		}
 	}
 
 	for i := 0; i < n; {
@@ -356,7 +446,7 @@ func compileBlock(b Block, entry uint64) *CompiledBlock {
 				if b.Insts[j].Op == isa.NOP || b.Insts[j].Rd == isa.ZeroReg {
 					nops++
 				}
-				w += cb.weights[j]
+				w += cb.weight(j)
 				j++
 			}
 			run := cb.ops[i:j]
@@ -371,7 +461,7 @@ func compileBlock(b Block, entry uint64) *CompiledBlock {
 
 		case memberMem:
 			sg := jitSeg{
-				idx: i, n: 1, w: cb.weights[i], pc: pc,
+				idx: i, n: 1, w: cb.weight(i), pc: pc,
 				rd: in.Rd, ra: in.Ra, rb: in.Rb, imm: uint64(in.Imm),
 			}
 			switch in.Op {
@@ -392,10 +482,9 @@ func compileBlock(b Block, entry uint64) *CompiledBlock {
 				return nil // branch not in final position: malformed block
 			}
 			sg := jitSeg{
-				kind: segBranch, idx: i, n: 1, w: cb.weights[i], pc: pc,
+				kind: segBranch, idx: i, n: 1, w: cb.weight(i), pc: pc,
 				cond:   compileCond(in.Op, in.Ra),
 				target: isa.BranchTarget(pc, in),
-				in:     in,
 			}
 			sg.isLoop = sg.target == entry
 			cb.segs = append(cb.segs, sg)
@@ -408,7 +497,8 @@ func compileBlock(b Block, entry uint64) *CompiledBlock {
 	return cb
 }
 
-// fuseRunDense fuses a nop-free run into a single call.
+// fuseRunDense fuses a nop-free run into a single call. The fused closure
+// keeps fs itself, so callers must not modify it afterwards.
 func fuseRunDense(fs []func(*Thread)) func(*Thread) {
 	switch len(fs) {
 	case 0:
@@ -425,10 +515,8 @@ func fuseRunDense(fs []func(*Thread)) func(*Thread) {
 		f0, f1, f2, f3 := fs[0], fs[1], fs[2], fs[3]
 		return func(t *Thread) { f0(t); f1(t); f2(t); f3(t) }
 	default:
-		body := make([]func(*Thread), len(fs))
-		copy(body, fs)
 		return func(t *Thread) {
-			for _, f := range body {
+			for _, f := range fs {
 				f(t)
 			}
 		}
@@ -447,14 +535,17 @@ func fuseSparse(fs []func(*Thread), ins []isa.Inst) func(*Thread) {
 	return fuseRunDense(body)
 }
 
-// ExecCompiled retires instructions from cb under exactly ExecSuperBlock's
-// contract: stop after the instruction whose commit reaches the weight
-// budget or the horizon's issue-unit cap, stop *before* any instruction
-// that needs the slow path (NeedSlow, with t.PC() addressing it), pre-stop
-// hooked loads and branches that might cross the horizon, fold taken
-// back-edges onto the entry, and leave committed/PC exactly as the
-// interpreter would. The caller guarantees t.PC() == cb.Entry() and the
-// thread is not halted.
+// ExecCompiled retires instructions from cb until the cumulative weight
+// reaches weightBudget, the thread's cycle counter reaches horizon, a hook
+// asks to stop, the block ends, or an instruction needs the slow path —
+// whichever comes first. Post-commit stop conditions are evaluated after
+// each commit, so the final instruction is exactly the one whose commit
+// crossed the budget or horizon; NeedSlow stops happen *before* the
+// offending instruction (t.PC() then addresses it), hooked loads and
+// branches that might cross the horizon pre-stop, and taken back-edges fold
+// onto the entry — leaving committed/PC and all machine state exactly as
+// the one-step loop would have them. The caller guarantees t.PC() ==
+// cb.Entry() and the thread is not halted.
 func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon int64, hooks *SBHooks) SBExec {
 	var (
 		hookLoad   func(pc, addr, value uint64, res memsys.Result, now int64) bool
@@ -499,14 +590,14 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 				continue
 			}
 			// Stepwise tail: some instruction in this run crosses the budget
-			// or the cap; commit one at a time with the interpreter's exact
+			// or the cap; commit one at a time with Step's exact
 			// post-commit checks.
 			for j := 0; j < sg.n; j++ {
 				k := sg.idx + j
 				cb.ops[k](t)
 				t.issueUnits += units
 				ex.N++
-				ex.Weight += cb.weights[k]
+				ex.Weight += cb.weight(k)
 				if ex.Weight >= weightBudget || t.issueUnits >= unitsCap || k+1 == cb.n {
 					t.pc = cb.entry + uint64(k+1)*isa.WordSize
 					t.committed += uint64(ex.N)
@@ -622,7 +713,7 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 			ex.Weight += sg.w
 			stop := false
 			if hookBranch != nil {
-				stop = hookBranch(sg.pc, &sg.in, taken, t.Now())
+				stop = hookBranch(sg.pc, &cb.srcInsts[sg.idx], taken, t.Now())
 			}
 			if taken && sg.isLoop && !stop &&
 				ex.Weight < weightBudget && t.issueUnits < unitsCap {

@@ -4,33 +4,28 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tridentsp/internal/isa"
 	"tridentsp/internal/memsys"
 )
 
-// runJIT drives a thread through the compiled tier at threshold 0 (compile on
-// first use), falling back to the interpreter exactly as the core fast path
-// does: Step when no block exists, and Step once after a NeedSlow or empty
-// batch.
-func runJIT(t *testing.T, th *Thread, ps *ProgramSpace) {
+// runCompiled drives a thread through compiled chains, falling back to the
+// one-step interpreter exactly as the core fast path does: Step when no
+// block starts at PC, and Step once after a NeedSlow or empty batch.
+func runCompiled(t *testing.T, th *Thread, ps *ProgramSpace) {
 	t.Helper()
 	for guard := 0; !th.Halted(); guard++ {
 		if guard > 1_000_000 {
-			t.Fatal("jit run did not terminate")
+			t.Fatal("compiled run did not terminate")
 		}
-		blk, cb, ok := ps.BlockAtJIT(th.PC(), 0)
-		if !ok {
+		cb := ps.CompiledAt(th.PC())
+		if cb == nil {
 			th.Step()
 			continue
 		}
-		var ex SBExec
-		if cb != nil {
-			ex = th.ExecCompiled(cb, math.MaxUint64, math.MaxInt64, nil)
-		} else {
-			ex = th.ExecSuperBlock(blk, math.MaxUint64, math.MaxInt64, nil)
-		}
+		ex := th.ExecCompiled(cb, math.MaxUint64, math.MaxInt64, nil)
 		if ex.N == 0 || ex.NeedSlow {
 			th.Step()
 		}
@@ -64,10 +59,10 @@ func richKernel() []isa.Inst {
 	}
 }
 
-// TestExecCompiledMatchesInterpreter is the JIT tier's core equivalence
-// obligation: the compiled chain run to completion leaves bit-identical
+// TestExecCompiledMatchesInterpreter is the compiled executor's core
+// equivalence obligation: the chains run to completion leave bit-identical
 // architectural, timing, taint, and memory-system state to the one-step
-// interpreter, on a kernel that exercises every segment kind.
+// interpreter (Step), on a kernel that exercises every segment kind.
 func TestExecCompiledMatchesInterpreter(t *testing.T) {
 	p := buildProgram(t, richKernel())
 
@@ -75,21 +70,22 @@ func TestExecCompiledMatchesInterpreter(t *testing.T) {
 	runRef(ref)
 
 	th, ps := newTestThread(p)
-	runJIT(t, th, ps)
+	runCompiled(t, th, ps)
 	assertSameState(t, th, ref)
 	if th.Reg(5) == 0 {
 		t.Fatal("kernel computed nothing; test is vacuous")
 	}
 	if ps.BlockStats().Compiles == 0 {
-		t.Fatal("no block was compiled; test never exercised the JIT tier")
+		t.Fatal("no block was compiled; test never exercised a chain")
 	}
 }
 
-// TestExecCompiledStopsBeforeColdLoad mirrors the interpreter-batch miss test
-// for the compiled tier: a cold load stops the chain with NeedSlow, N counting
+// TestExecCompiledStopsBeforeColdLoad forces an L1 miss mid-block and pins
+// the resume contract: a cold load stops the chain with NeedSlow, N counting
 // only the retired prefix, and PC addressing exactly the declining load; the
-// unswept expired fill keeps declining; and after the slow path sweeps it the
-// chain resumes with a fast load.
+// unswept expired fill keeps declining (the sweep is where the slow path does
+// its redundancy accounting); and after the slow path sweeps it the chain
+// resumes with a fast load, the hierarchy having seen each load exactly once.
 func TestExecCompiledStopsBeforeColdLoad(t *testing.T) {
 	seq := []isa.Inst{
 		{Op: isa.LDI, Rd: 1, Imm: 0x4000},    // 0x1000
@@ -102,9 +98,9 @@ func TestExecCompiledStopsBeforeColdLoad(t *testing.T) {
 	p := buildProgram(t, seq)
 	th, ps := newTestThread(p)
 
-	_, cb, ok := ps.BlockAtJIT(0x1000, 0)
-	if !ok || cb == nil {
-		t.Fatalf("no compiled block at entry: ok=%v cb=%v", ok, cb)
+	cb := ps.CompiledAt(0x1000)
+	if cb == nil {
+		t.Fatal("no compiled block at entry")
 	}
 	if cb.Entry() != 0x1000 || cb.Len() != 5 {
 		t.Fatalf("chain entry=%#x len=%d, want 0x1000 len 5", cb.Entry(), cb.Len())
@@ -118,10 +114,13 @@ func TestExecCompiledStopsBeforeColdLoad(t *testing.T) {
 	}
 
 	th.Step() // slow load: misses, fills L1
-	th.AddStall(1000)
+	if th.PC() != 0x1018 {
+		t.Fatalf("pc after slow load = %#x, want 0x1018", th.PC())
+	}
+	th.AddStall(1000) // wait out the fill so the line's latency has elapsed
 
-	_, cb2, ok := ps.BlockAtJIT(th.PC(), 0)
-	if !ok || cb2 == nil {
+	cb2 := ps.CompiledAt(th.PC())
+	if cb2 == nil {
 		t.Fatal("no compiled block at resume point")
 	}
 	ex2 := th.ExecCompiled(cb2, math.MaxUint64, math.MaxInt64, nil)
@@ -130,8 +129,8 @@ func TestExecCompiledStopsBeforeColdLoad(t *testing.T) {
 	}
 	th.Step() // slow load sweeps the fill
 
-	_, cb3, ok := ps.BlockAtJIT(th.PC(), 0)
-	if !ok || cb3 == nil {
+	cb3 := ps.CompiledAt(th.PC())
+	if cb3 == nil {
 		t.Fatal("no compiled block at second resume point")
 	}
 	ex3 := th.ExecCompiled(cb3, math.MaxUint64, math.MaxInt64, nil)
@@ -142,11 +141,18 @@ func TestExecCompiledStopsBeforeColdLoad(t *testing.T) {
 		t.Fatalf("load values diverged: r3=%#x r4=%#x r5=%#x",
 			th.Reg(3), th.Reg(4), th.Reg(5))
 	}
+	if got := th.hier.Stats.Loads; got != 3 {
+		t.Fatalf("hierarchy saw %d loads, want 3", got)
+	}
+	if got := th.hier.Stats.L1Hits; got != 2 {
+		t.Fatalf("hierarchy saw %d L1 hits, want 2", got)
+	}
 }
 
 // TestExecCompiledFoldsBackEdge pins the chain's loop folding: entered at the
-// loop head, whole iterations retire per call and the final not-taken branch
-// exits with the fall-through PC and the interpreter's exact state.
+// loop head, whole iterations retire per call, the branch predictor is
+// trained exactly as the one-step loop trains it, and the final not-taken
+// branch exits with the fall-through PC and Step's exact state.
 func TestExecCompiledFoldsBackEdge(t *testing.T) {
 	seq := []isa.Inst{
 		{Op: isa.LDI, Rd: 1, Imm: 8},                              // 0x1000
@@ -162,14 +168,12 @@ func TestExecCompiledFoldsBackEdge(t *testing.T) {
 	th, ps := newTestThread(p)
 	// Entered at 0x1000 the back-edge targets 0x1008, not the entry: the
 	// taken branch exits the chain after one iteration.
-	_, cb, _ := ps.BlockAtJIT(0x1000, 0)
-	ex := th.ExecCompiled(cb, math.MaxUint64, math.MaxInt64, nil)
+	ex := th.ExecCompiled(ps.CompiledAt(0x1000), math.MaxUint64, math.MaxInt64, nil)
 	if ex.N != 3 || th.PC() != 0x1008 {
 		t.Fatalf("entry chain: %+v pc=%#x, want 3 instructions ending at 0x1008", ex, th.PC())
 	}
 	// Entered at the loop head the remaining 7 iterations fold.
-	_, cb2, _ := ps.BlockAtJIT(0x1008, 0)
-	ex2 := th.ExecCompiled(cb2, math.MaxUint64, math.MaxInt64, nil)
+	ex2 := th.ExecCompiled(ps.CompiledAt(0x1008), math.MaxUint64, math.MaxInt64, nil)
 	if ex2.N != 14 {
 		t.Fatalf("folded chain retired %d instructions, want 14 (7 iterations)", ex2.N)
 	}
@@ -191,8 +195,7 @@ func TestExecCompiledHonorsWeightBudgetAcrossFolds(t *testing.T) {
 	}
 	p := buildProgram(t, seq)
 	th, ps := newTestThread(p)
-	_, cb, _ := ps.BlockAtJIT(0x1000, 0)
-	ex := th.ExecCompiled(cb, 11, math.MaxInt64, nil)
+	ex := th.ExecCompiled(ps.CompiledAt(0x1000), 11, math.MaxInt64, nil)
 	if ex.N != 11 || ex.Weight != 11 {
 		t.Fatalf("budget stop: %+v, want exactly 11 retired", ex)
 	}
@@ -203,29 +206,28 @@ func TestExecCompiledHonorsWeightBudgetAcrossFolds(t *testing.T) {
 	}
 }
 
-// TestExecCompiledLockstepRandomBudgets runs the compiled chain and the
-// interpreter batch in lockstep over the rich kernel with randomized weight
-// budgets and horizons, requiring identical SBExec results and identical
-// thread state after every single batch — the stop/resume contract at every
-// boundary, not just at termination.
+// TestExecCompiledLockstepRandomBudgets runs compiled chains with randomized
+// weight budgets and horizons over the rich kernel, in lockstep with a
+// reference thread that replays each batch one Step at a time. After every
+// single batch the two threads must hold identical state, and the batch must
+// have stopped exactly where the contract says: no earlier instruction met a
+// stop condition, and the last one either met one (budget or horizon),
+// ended the block, or — on NeedSlow — left PC on a memory operation the fast
+// probes declined. The stop/resume contract at every boundary, not just at
+// termination.
 func TestExecCompiledLockstepRandomBudgets(t *testing.T) {
 	p := buildProgram(t, richKernel())
-	want, wps := newTestThread(p) // interpreter batches
-	got, gps := newTestThread(p)  // compiled chains
+	want, _ := newTestThread(p) // one-step reference
+	got, gps := newTestThread(p)
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 
-	batches := 0
-	for guard := 0; !want.Halted(); guard++ {
+	batches, needSlow := 0, 0
+	for guard := 0; !got.Halted(); guard++ {
 		if guard > 1_000_000 {
 			t.Fatal("lockstep run did not terminate")
 		}
-		blk, ok := wps.BlockAt(want.PC())
-		_, cb, jok := gps.BlockAtJIT(got.PC(), 0)
-		if ok != jok {
-			t.Fatalf("block derivation diverged at pc %#x: batch %v, jit %v",
-				want.PC(), ok, jok)
-		}
-		if !ok || cb == nil {
+		cb := gps.CompiledAt(got.PC())
+		if cb == nil {
 			want.Step()
 			got.Step()
 			continue
@@ -235,113 +237,184 @@ func TestExecCompiledLockstepRandomBudgets(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			horizon = want.Now() + int64(rng.Intn(40))
 		}
-		exW := want.ExecSuperBlock(blk, budget, horizon, nil)
-		exG := got.ExecCompiled(cb, budget, horizon, nil)
-		if exW != exG {
-			t.Fatalf("batch %d (budget=%d horizon=%d): batch %+v, jit %+v",
-				batches, budget, horizon, exW, exG)
+		ex := got.ExecCompiled(cb, budget, horizon, nil)
+		if ex.Weight != uint64(ex.N) {
+			t.Fatalf("batch %d: weight %d for %d unweighted instructions", batches, ex.Weight, ex.N)
+		}
+		var last StepInfo
+		for k := 1; k <= ex.N; k++ {
+			last = want.Step()
+			if k < ex.N && (uint64(k) >= budget || want.Now() >= horizon) {
+				t.Fatalf("batch %d (budget=%d horizon=%d): ran past a stop after %d of %d",
+					batches, budget, horizon, k, ex.N)
+			}
 		}
 		assertSameState(t, got, want)
 		if t.Failed() {
 			t.FailNow()
 		}
+		blockEnd := ex.N > 0 && last.PC == cb.Entry()+uint64(cb.Len()-1)*isa.WordSize
+		switch {
+		case ex.NeedSlow:
+			needSlow++
+			if in, _ := gps.Fetch(got.PC()); blockMember(in.Op) != memberMem {
+				t.Fatalf("batch %d: NeedSlow before non-memory %v at %#x", batches, in.Op, got.PC())
+			}
+		case ex.N == 0:
+			t.Fatalf("batch %d: empty batch without NeedSlow", batches)
+		case uint64(ex.N) < budget && want.Now() < horizon && !blockEnd:
+			t.Fatalf("batch %d (budget=%d horizon=%d): stopped early after %d at %#x",
+				batches, budget, horizon, ex.N, got.PC())
+		}
 		batches++
-		if exW.N == 0 || exW.NeedSlow {
+		if ex.N == 0 || ex.NeedSlow {
 			want.Step()
 			got.Step()
 		}
 	}
 	runRef(want) // drain any trailing non-block instructions
-	runRef(got)
 	assertSameState(t, got, want)
-	if batches < 10 {
-		t.Fatalf("only %d lockstep batches ran; test is vacuous", batches)
+	if batches < 10 || needSlow == 0 {
+		t.Fatalf("%d lockstep batches, %d NeedSlow stops; test is vacuous", batches, needSlow)
 	}
 }
 
 // hookLog records every SBHooks callback with its full argument tuple, and
 // optionally stops on every stopEvery-th load — covering both the observation
-// parity and the hook-requested-stop parity of the two executors.
+// parity and the hook-requested-stop behaviour of the compiled executor.
+// stopAt is the PC a requested stop must leave the thread at; any hook that
+// fires while it is set ran past the stop and counts as an overrun.
 type hookLog struct {
 	events    []string
 	loads     int
 	stopEvery int
+	stopAt    uint64
+	overruns  int
+}
+
+func (h *hookLog) load(pc, addr, value uint64, res memsys.Result, now int64) {
+	h.events = append(h.events, fmt.Sprintf(
+		"ld pc=%#x addr=%#x v=%#x out=%d now=%d", pc, addr, value, res.Outcome, now))
+}
+
+func (h *hookLog) branch(pc uint64, op isa.Op, taken bool, now int64) {
+	h.events = append(h.events, fmt.Sprintf(
+		"br pc=%#x op=%d taken=%v now=%d", pc, op, taken, now))
 }
 
 func (h *hookLog) hooks() *SBHooks {
 	return &SBHooks{
 		Load: func(pc, addr, value uint64, res memsys.Result, now int64) bool {
+			h.checkStop()
 			h.loads++
-			h.events = append(h.events, fmt.Sprintf(
-				"ld pc=%#x addr=%#x v=%#x out=%d now=%d", pc, addr, value, res.Outcome, now))
-			return h.stopEvery > 0 && h.loads%h.stopEvery == 0
+			h.load(pc, addr, value, res, now)
+			if h.stopEvery > 0 && h.loads%h.stopEvery == 0 {
+				h.stopAt = pc + isa.WordSize
+				return true
+			}
+			return false
 		},
 		Branch: func(pc uint64, in *isa.Inst, taken bool, now int64) bool {
-			h.events = append(h.events, fmt.Sprintf(
-				"br pc=%#x op=%d taken=%v now=%d", pc, in.Op, taken, now))
+			h.checkStop()
+			h.branch(pc, in.Op, taken, now)
 			return false
 		},
 		LoopBack: func(now int64) {
+			h.checkStop()
 			h.events = append(h.events, fmt.Sprintf("loop now=%d", now))
 		},
 	}
 }
 
-// TestExecCompiledHookParity drives both executors over the rich kernel with
-// recording hooks (stopping on every third load) and requires the two
-// callback streams — loads with values and outcomes, branches with
-// directions, loop-back folds, all with cycle stamps — to be identical.
+func (h *hookLog) checkStop() {
+	if h.stopAt != 0 {
+		h.overruns++
+	}
+}
+
+// observe records what the core's slow path monitors for one stepped
+// instruction: committed LDs and conditional branches, from StepInfo.
+func (h *hookLog) observe(si StepInfo) {
+	switch blockMember(si.Inst.Op) {
+	case memberMem:
+		if si.Inst.Op == isa.LD {
+			h.load(si.PC, si.LoadAddr, si.LoadValue, si.LoadRes, si.Now)
+		}
+	case memberBranch:
+		h.branch(si.PC, si.Inst.Op, si.Branch == BranchTaken, si.Now)
+	}
+}
+
+// TestExecCompiledHookParity drives the compiled executor over the rich
+// kernel with recording hooks (stopping on every third load) and requires
+// its observation stream — loads with values and outcomes, branches with
+// directions, all with cycle stamps, plus whatever the fallback Steps
+// observe — to equal the stream the one-step interpreter produces for the
+// same program. Every loop-back fold must follow a taken branch at the same
+// cycle, and every requested stop must end the batch right after its load.
 func TestExecCompiledHookParity(t *testing.T) {
 	p := buildProgram(t, richKernel())
 
-	run := func(jit bool) *hookLog {
-		th, ps := newTestThread(p)
-		h := &hookLog{stopEvery: 3}
-		hk := h.hooks()
-		for guard := 0; !th.Halted(); guard++ {
-			if guard > 1_000_000 {
-				t.Fatal("hooked run did not terminate")
-			}
-			blk, cb, ok := ps.BlockAtJIT(th.PC(), 0)
-			if !ok {
-				th.Step()
-				continue
-			}
-			var ex SBExec
-			if jit && cb != nil {
-				ex = th.ExecCompiled(cb, math.MaxUint64, math.MaxInt64, hk)
-			} else {
-				ex = th.ExecSuperBlock(blk, math.MaxUint64, math.MaxInt64, hk)
-			}
-			if ex.N == 0 || ex.NeedSlow {
-				th.Step()
-			}
-		}
-		return h
+	ref, _ := newTestThread(p)
+	want := &hookLog{}
+	for !ref.Halted() {
+		want.observe(ref.Step())
 	}
 
-	batch, jit := run(false), run(true)
-	if len(batch.events) != len(jit.events) {
-		t.Fatalf("hook stream lengths diverged: batch %d, jit %d",
-			len(batch.events), len(jit.events))
+	th, ps := newTestThread(p)
+	h := &hookLog{stopEvery: 3}
+	hk := h.hooks()
+	stops := 0
+	for guard := 0; !th.Halted(); guard++ {
+		if guard > 1_000_000 {
+			t.Fatal("hooked run did not terminate")
+		}
+		if cb := ps.CompiledAt(th.PC()); cb != nil {
+			ex := th.ExecCompiled(cb, math.MaxUint64, math.MaxInt64, hk)
+			if h.overruns > 0 {
+				t.Fatalf("hooks fired after a requested stop (batch from %#x)", cb.Entry())
+			}
+			if h.stopAt != 0 {
+				if th.PC() != h.stopAt || ex.NeedSlow {
+					t.Fatalf("requested stop left pc %#x (NeedSlow %v), want %#x", th.PC(), ex.NeedSlow, h.stopAt)
+				}
+				h.stopAt = 0
+				stops++
+			}
+			if ex.N > 0 && !ex.NeedSlow {
+				continue
+			}
+		}
+		h.observe(th.Step())
 	}
-	for i := range batch.events {
-		if batch.events[i] != jit.events[i] {
-			t.Fatalf("hook event %d diverged:\nbatch %s\njit   %s",
-				i, batch.events[i], jit.events[i])
+	assertSameState(t, th, ref)
+
+	var got []string
+	folds := 0
+	for i, e := range h.events {
+		if !strings.HasPrefix(e, "loop ") {
+			got = append(got, e)
+			continue
+		}
+		folds++
+		now := strings.TrimPrefix(e, "loop ")
+		if i == 0 || !strings.HasPrefix(h.events[i-1], "br ") ||
+			!strings.HasSuffix(h.events[i-1], "taken=true "+now) {
+			t.Fatalf("fold %q does not follow a taken branch at the same cycle", e)
 		}
 	}
-	if batch.loads == 0 {
-		t.Fatal("no load hooks fired; test is vacuous")
+	if len(got) != len(want.events) {
+		t.Fatalf("observation stream lengths diverged: compiled %d, step %d",
+			len(got), len(want.events))
 	}
-	var folds bool
-	for _, e := range batch.events {
-		if len(e) > 4 && e[:4] == "loop" {
-			folds = true
+	for i := range got {
+		if got[i] != want.events[i] {
+			t.Fatalf("observation %d diverged:\ncompiled %s\nstep     %s",
+				i, got[i], want.events[i])
 		}
 	}
-	if !folds {
-		t.Fatal("no loop-back folds observed; test is vacuous")
+	if h.loads == 0 || folds == 0 || stops == 0 {
+		t.Fatalf("%d load hooks, %d folds, %d requested stops; test is vacuous", h.loads, folds, stops)
 	}
 }
 
@@ -418,9 +491,8 @@ func TestCompileSharedCache(t *testing.T) {
 	c1, c2 := NewBlockCache(0x77000), NewBlockCache(0x77000)
 	c1.SetSource(seq, nil)
 	c2.SetSource(seq, nil)
-	_, j1, ok1 := c1.AtCompiled(0x77000, 0)
-	_, j2, ok2 := c2.AtCompiled(0x77000, 0)
-	if !ok1 || !ok2 || j1 == nil || j1 != j2 {
+	j1, j2 := c1.CompiledAt(0x77000), c2.CompiledAt(0x77000)
+	if j1 == nil || j1 != j2 {
 		t.Fatalf("independent caches did not share the chain: %p vs %p", j1, j2)
 	}
 
@@ -440,40 +512,67 @@ func TestCompileSharedCache(t *testing.T) {
 	}
 }
 
-// TestAtCompiledPromotion pins the heat ramp: with threshold N the first N
-// lookups interpret (cb nil), lookup N+1 compiles, and later lookups return
-// the resident chain through both AtCompiled and the launch-hot CompiledAt.
-func TestAtCompiledPromotion(t *testing.T) {
+// TestCompiledAtCompilesOnFirstUse pins the lookup: the first CompiledAt
+// for a block compiles it, later lookups return the resident chain without
+// recompiling, and a word that starts no block yields nil.
+func TestCompiledAtCompilesOnFirstUse(t *testing.T) {
 	seq := []isa.Inst{
 		{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: 1},
 		{Op: isa.BNE, Ra: 1, Imm: isa.BranchDisp(0x99008, 0x99000)},
+		{Op: isa.HALT},
 	}
 	c := NewBlockCache(0x99000)
 	c.SetSource(seq, nil)
-	const threshold = 3
-	for i := 0; i < threshold; i++ {
-		if c.CompiledAt(0x99000) != nil {
-			t.Fatalf("lookup %d: chain resident before promotion", i)
-		}
-		_, cb, ok := c.AtCompiled(0x99000, threshold)
-		if !ok || cb != nil {
-			t.Fatalf("lookup %d: ok=%v cb=%v, want warming (nil chain)", i, ok, cb)
-		}
+	cb := c.CompiledAt(0x99000)
+	if cb == nil || cb.Len() != 2 {
+		t.Fatal("first lookup did not compile the block")
 	}
-	_, cb, ok := c.AtCompiled(0x99000, threshold)
-	if !ok || cb == nil {
-		t.Fatal("threshold-crossing lookup did not compile")
+	if again := c.CompiledAt(0x99000); again != cb {
+		t.Fatal("re-lookup recompiled instead of returning the resident chain")
 	}
 	if got := c.Stats().Compiles; got != 1 {
 		t.Fatalf("Compiles = %d, want 1", got)
 	}
-	if c.CompiledAt(0x99000) != cb {
-		t.Fatal("CompiledAt does not see the promoted chain")
+	if c.CompiledAt(0x99010) != nil {
+		t.Fatal("HALT heads a chain")
 	}
-	if _, again, _ := c.AtCompiled(0x99000, threshold); again != cb {
-		t.Fatal("re-lookup recompiled instead of returning the resident chain")
+}
+
+// TestCompiledPrefix pins the truncated-block path the core takes when a
+// block would run past its trace placement: the prefix is its own chain,
+// carries the source weights, and retires exactly its own instructions with
+// Step's state.
+func TestCompiledPrefix(t *testing.T) {
+	seq := []isa.Inst{
+		{Op: isa.LDI, Rd: 1, Imm: 0x4000},    // 0x1000
+		{Op: isa.ST, Ra: 1, Rb: 1, Imm: 0},   // 0x1008
+		{Op: isa.ADDI, Rd: 2, Ra: 1, Imm: 3}, // 0x1010
+		{Op: isa.XOR, Rd: 3, Ra: 2, Rb: 1},   // 0x1018
+		{Op: isa.HALT},                       // 0x1020
 	}
-	if got := c.Stats().Compiles; got != 1 {
-		t.Fatalf("Compiles after re-lookup = %d, want still 1", got)
+	c := NewBlockCache(0x1000)
+	c.SetSource(seq, []int{1, 2, 0, 3, 1})
+	full := c.CompiledAt(0x1000)
+	if full == nil || full.Len() != 4 {
+		t.Fatalf("full chain: %v", full)
 	}
+	pre := full.Prefix(3)
+	if pre == nil || pre == full || pre.Len() != 3 || pre.Entry() != 0x1000 {
+		t.Fatalf("prefix chain: %v", pre)
+	}
+	if again := full.Prefix(3); again != pre {
+		t.Fatal("prefix did not hit the shared compile cache")
+	}
+
+	p := buildProgram(t, seq)
+	ref, _ := newTestThread(p)
+	for i := 0; i < 3; i++ {
+		ref.Step()
+	}
+	th, _ := newTestThread(p)
+	ex := th.ExecCompiled(pre, math.MaxUint64, math.MaxInt64, nil)
+	if ex.N != 3 || ex.Weight != 3 || ex.NeedSlow {
+		t.Fatalf("prefix run: %+v, want 3 instructions of weight 1+2+0", ex)
+	}
+	assertSameState(t, th, ref)
 }

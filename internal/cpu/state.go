@@ -79,7 +79,7 @@ func (s *ProgramSpace) LoadState(d *checkpoint.Decoder) error {
 		s.insts[i] = isa.LoadInst(d)
 	}
 	s.blocks.Invalidate()
-	// The JIT tier is never serialized; the generation bump above already
+	// Compiled chains are never serialized; the generation bump above already
 	// quarantines stale chains, and the eager drop keeps a restore into a
 	// live machine (the sentinel's rewind) from pinning dead compiled code.
 	s.blocks.DropCompiled()

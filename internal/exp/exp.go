@@ -39,13 +39,6 @@ type Options struct {
 	// (core.Config.DisableFastPath) in every run. Tables are identical
 	// either way; the knob exists to prove that.
 	DisableFastPath bool
-	// DisableJIT turns off the compiled-closure tier in every run, leaving
-	// the interpreting batch engine (core.Config.JIT = false). Tables are
-	// identical either way, like DisableFastPath.
-	DisableJIT bool
-	// JITThreshold, when non-nil, overrides core.Config.JITThreshold in
-	// every run (0 = compile every block on first use).
-	JITThreshold *uint32
 	// Sampled runs every figure under the interval-sampling scheduler
 	// (DESIGN §14, §15) and computes cells from the extrapolated Results.
 	// Exact mode (the default) is untouched — its tables stay byte-identical.
@@ -106,18 +99,6 @@ func (o Options) suite() []workloads.Benchmark {
 	return out
 }
 
-// applyEngine applies the engine-selection knobs (fast path, JIT tier) to a
-// run configuration.
-func (o Options) applyEngine(cfg *core.Config) {
-	cfg.DisableFastPath = o.DisableFastPath
-	if o.DisableJIT {
-		cfg.JIT = false
-	}
-	if o.JITThreshold != nil {
-		cfg.JITThreshold = *o.JITThreshold
-	}
-}
-
 // run executes one benchmark under one configuration. stop and m are the
 // pool's cooperation handles for sampled mode — the attempt deadline closes
 // stop so nested window chains wind down at the next boundary, and a retry
@@ -127,7 +108,7 @@ func run(bm workloads.Benchmark, cfg core.Config, o Options, stop <-chan struct{
 	if o.Sampled {
 		return sampledRun(bm, cfg, o, stop, m).Sampled
 	}
-	o.applyEngine(&cfg)
+	cfg.DisableFastPath = o.DisableFastPath
 	p := bm.Build(o.Scale)
 	return core.NewSystem(cfg, p).Run(o.Instrs)
 }

@@ -82,7 +82,7 @@ func PrefArsenal(o Options) Table {
 					cfg := core.DefaultConfig()
 					cfg.HW = hw
 					cfg.Chaos = sched
-					o.applyEngine(&cfg)
+					cfg.DisableFastPath = o.DisableFastPath
 					return core.NewSystem(cfg, bm.Build(o.Scale)).Run(o.Instrs)
 				})
 			}

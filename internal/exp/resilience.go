@@ -43,7 +43,7 @@ func Resilience(o Options) Table {
 	suite := o.suite()
 	cfg := core.DefaultConfig()
 	cfg.Backout = true
-	o.applyEngine(&cfg)
+	cfg.DisableFastPath = o.DisableFastPath
 	// Phase 1: fault-free base runs. The chaos rows need the base IPC while
 	// they execute, and a pool task must not wait on another task's future
 	// (see pool.go), so the bases are fully resolved before the rows are

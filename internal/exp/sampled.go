@@ -64,7 +64,7 @@ func SampleConfig(instrs uint64) sampling.Config {
 // estimate is byte-identical to an unbroken run's — the scheduler's
 // resume-determinism contract).
 func sampledRun(bm workloads.Benchmark, cfg core.Config, o Options, stop <-chan struct{}, m *memo) sampling.Estimate {
-	o.applyEngine(&cfg)
+	cfg.DisableFastPath = o.DisableFastPath
 	build := func() *core.System { return core.NewSystem(cfg, bm.Build(o.Scale)) }
 	var sched *sampling.Scheduler
 	opts := sampling.Options{Jobs: o.SampleJobs, NewSystem: build, Stop: stop}

@@ -16,7 +16,7 @@
 // committed load stream and the architectural memory state, never of the
 // execution engine. Train(…, l1Miss=false) performs no fill-port calls and
 // no buffer mutation, preserving the memsys.LoadFast guarantee, so reports
-// stay byte-identical across the fast path, -slowpath, the JIT tier, any
+// stay byte-identical across the compiled fast path, -slowpath, any
 // -j/-sample-jobs, and kill/resume.
 package hwpref
 

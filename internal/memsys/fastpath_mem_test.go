@@ -8,7 +8,7 @@ import (
 
 // These tests pin the fast-path entry points (LoadFast, StoreFast,
 // EarliestFill) against the reference operations they short-circuit. The
-// batch engine in internal/core relies on each of these contracts for its
+// fast path in internal/core relies on each of these contracts for its
 // bit-identical differential guarantee.
 
 // TestStoreRetiresCompletedFills is the regression test for the Store sweep:

@@ -272,14 +272,14 @@ func (h *Hierarchy) LoadFast(pc, addr uint64, now int64) (Result, bool) {
 
 // fastGate is the pure precondition shared by every fast probe: below MSHR
 // capacity (sweep provably inert) and no in-flight fill for the line (the
-// inflight probe classifies nothing). Kept tiny so the batch executors'
+// inflight probe classifies nothing). Kept tiny so the compiled executor's
 // per-load gates inline it.
 func (h *Hierarchy) fastGate(la uint64) bool {
 	return h.inflight.len() < h.cfg.MaxInFlight && !h.inflight.contains(la)
 }
 
 // CanLoadFast reports whether LoadFast(pc, addr, now) would succeed,
-// without committing anything. The batch engine uses it to decide whether
+// without committing anything. The fast path uses it to decide whether
 // launching a superblock at a trace head is guaranteed to retire at least
 // its first instruction.
 func (h *Hierarchy) CanLoadFast(addr uint64, now int64) bool {
@@ -517,7 +517,7 @@ func (h *Hierarchy) fillDel(la uint64) {
 
 // EarliestFill returns a cycle no later than the earliest ready cycle
 // strictly after now among in-flight fills, or math.MaxInt64 when none is
-// pending. The batch engine folds this into the event horizon so a batch
+// pending. The fast path folds this into the event horizon so a batch
 // never runs past the cycle a partial hit's residual latency would change;
 // a conservative (early) answer is harmless. Ready cycles are immutable, so
 // heap entries at or below now can never matter again and are popped.

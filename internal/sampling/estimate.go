@@ -7,8 +7,8 @@ import (
 )
 
 // Interval records one detailed window: its position in program progress,
-// the field-wise delta of core.Results across it (as a flattened vector, see
-// resvec.go), and the engine-tier residency. These are the samples the
+// and the field-wise delta of core.Results across it (as a flattened vector,
+// see resvec.go). These are the samples the
 // stratified estimator and the error bars are computed from, and the rows
 // tracestats renders as a phase timeline.
 type Interval struct {
@@ -18,11 +18,6 @@ type Interval struct {
 	End   uint64
 	// Vec is the flattened Results delta across the window.
 	Vec []float64
-	// Engine-tier residency during the window (recorded for inspection;
-	// never part of the phase trigger — see the package comment).
-	TierSlow  uint64
-	TierBatch uint64
-	TierJIT   uint64
 	// Phase is set when this window's signals flagged a phase change,
 	// forcing the next interval detailed.
 	Phase bool

@@ -1,5 +1,5 @@
 // Package sampling drives interval-sampled simulation (DESIGN §14, §15):
-// the machine alternates detailed intervals — the full three-tier engine
+// the machine alternates detailed intervals — the full detailed engine
 // with every statistic recorded — and functional fast-forward gaps where
 // only architectural state advances, with a live warm-up window at each
 // gap's tail so caches, stream buffers, the branch predictor, and the DLT
@@ -10,11 +10,11 @@
 // detailed interval produces a signal vector from the telemetry the machine
 // already keeps (miss rate, delinquency-event rate, repair-budget burn), and
 // a large relative change forces the next interval to stay detailed instead
-// of fast-forwarding over the new phase. Tier residency is recorded per
-// interval and exported for inspection, but deliberately kept out of the
-// trigger: tier attribution is engine-class (it shifts at a restore seam by
-// construction), and the trigger must consume only semantic signals so a
-// resumed sampled run replays the exact decision sequence.
+// of fast-forwarding over the new phase. Engine-tier residency is
+// deliberately kept out of the trigger: tier attribution is engine-class (it
+// shifts at a restore seam by construction), and the trigger must consume
+// only semantic signals so a resumed sampled run replays the exact decision
+// sequence.
 //
 // Execution is window-chained (parallel.go): after the fully detailed
 // startup prefix, every detailed window runs on a private machine seeded
@@ -137,18 +137,13 @@ func runWindow(sys *core.System, n uint64) (Interval, core.Results) {
 	start := sys.Progress()
 	beforeRes := sys.Results()
 	before := flatten(&beforeRes)
-	tS, tB, tJ := sys.TierInstrs()
 	sys.Run(sys.OrigInstrs() + n)
 	sys.Quiesce(quiesceBound)
 	after := sys.Results()
-	tS2, tB2, tJ2 := sys.TierInstrs()
 	return Interval{
-		Start:     start,
-		End:       sys.Progress(),
-		Vec:       vecSub(flatten(&after), before),
-		TierSlow:  tS2 - tS,
-		TierBatch: tB2 - tB,
-		TierJIT:   tJ2 - tJ,
+		Start: start,
+		End:   sys.Progress(),
+		Vec:   vecSub(flatten(&after), before),
 	}, after
 }
 

@@ -112,9 +112,6 @@ func encodeIntervals(e *checkpoint.Encoder, intervals []Interval) {
 		for _, v := range iv.Vec {
 			e.F64(v)
 		}
-		e.U64(iv.TierSlow)
-		e.U64(iv.TierBatch)
-		e.U64(iv.TierJIT)
 		e.Bool(iv.Phase)
 	}
 }
@@ -137,9 +134,6 @@ func decodeIntervals(d *checkpoint.Decoder) ([]Interval, error) {
 		for j := range iv.Vec {
 			iv.Vec[j] = d.F64()
 		}
-		iv.TierSlow = d.U64()
-		iv.TierBatch = d.U64()
-		iv.TierJIT = d.U64()
 		iv.Phase = d.Bool()
 	}
 	return intervals, d.Err()

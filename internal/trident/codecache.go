@@ -31,8 +31,8 @@ type CodeCache struct {
 	placements []Placement // sorted by Start
 	nextID     int
 
-	// blocks caches straight-line instruction runs for the simulator's fast
-	// path; invalidated whenever the placed image changes.
+	// blocks caches compiled superblocks for the simulator's fast path;
+	// invalidated whenever the placed image changes.
 	blocks *cpu.BlockCache
 }
 
@@ -96,24 +96,15 @@ func (c *CodeCache) Place(tr *trace.Trace) (*Placement, error) {
 	return &c.placements[len(c.placements)-1], nil
 }
 
-// BlockAt returns the straight-line block starting at pc (see
-// cpu.BlockCache); block weights carry the trace's per-instruction
-// original-instruction weights.
-func (c *CodeCache) BlockAt(pc uint64) (cpu.Block, bool) {
-	return c.blocks.At(pc)
-}
-
-// BlockAtJIT is BlockAt through the JIT tier (see cpu.BlockCache.AtCompiled).
-func (c *CodeCache) BlockAtJIT(pc uint64, threshold uint32) (cpu.Block, *cpu.CompiledBlock, bool) {
-	return c.blocks.AtCompiled(pc, threshold)
-}
-
-// CompiledAt is the launch-hot chain lookup (see cpu.BlockCache.CompiledAt).
+// CompiledAt returns the compiled superblock starting at pc, or nil when
+// none starts there (see cpu.BlockCache.CompiledAt); chains carry the
+// trace's per-instruction original-instruction weights.
 func (c *CodeCache) CompiledAt(pc uint64) *cpu.CompiledBlock {
 	return c.blocks.CompiledAt(pc)
 }
 
-// DropCompiled eagerly discards the JIT tier (sentinel demotion, restore).
+// DropCompiled eagerly discards every compiled chain (sentinel demotion,
+// restore).
 func (c *CodeCache) DropCompiled() { c.blocks.DropCompiled() }
 
 // BlockStats returns the block cache's activity counters.

@@ -3,6 +3,7 @@ package trident
 import (
 	"testing"
 
+	"tridentsp/internal/cpu"
 	"tridentsp/internal/isa"
 	"tridentsp/internal/trace"
 )
@@ -20,92 +21,102 @@ func straightTrace() *trace.Trace {
 	}}
 }
 
+// placedBlock reads n placed instructions and their weights back through
+// the code cache's fetch path, for comparison against a compiled chain.
+func placedBlock(cc *CodeCache, start uint64, n int) cpu.Block {
+	b := cpu.Block{Insts: make([]isa.Inst, n), Weights: make([]int, n)}
+	for i := range b.Insts {
+		pc := start + uint64(i)*isa.WordSize
+		b.Insts[i], _ = cc.Fetch(pc)
+		b.Weights[i] = cc.Weight(pc)
+	}
+	return b
+}
+
 func TestCodeCacheBlockAt(t *testing.T) {
 	cc := NewCodeCache(0x10000000)
 	pl, err := cc.Place(straightTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The block at the trace start covers the four member instructions
+	// The chain at the trace start covers the four member instructions
 	// (PREFETCH batches since the superblock engine) and stops before the
-	// exit jump; its weights must match Weight().
-	blk, ok := cc.BlockAt(pl.Start)
-	if !ok {
-		t.Fatal("no block at trace start")
+	// exit jump; its weights must match Weight(): 1 + 0 + 2 + 0.
+	cb := cc.CompiledAt(pl.Start)
+	if cb == nil {
+		t.Fatal("no chain at trace start")
 	}
-	if len(blk.Insts) != 4 {
-		t.Fatalf("block length %d, want 4 (stop before the exit jump)", len(blk.Insts))
+	if cb.Len() != 4 {
+		t.Fatalf("chain length %d, want 4 (stop before the exit jump)", cb.Len())
 	}
-	if blk.Weights == nil {
-		t.Fatal("code-cache block must carry trace weights")
+	src := placedBlock(cc, pl.Start, cb.Len())
+	if !cb.Matches(src) || src.Weights[2] != 2 {
+		t.Fatalf("code-cache chain must carry the trace weights %v", src.Weights)
 	}
-	for i := range blk.Insts {
-		pc := pl.Start + uint64(i)*isa.WordSize
-		if blk.Weights[i] != cc.Weight(pc) {
-			t.Errorf("weight[%d] = %d, Weight(%#x) = %d", i, blk.Weights[i], pc, cc.Weight(pc))
-		}
-	}
-	// The PREFETCH heads its own (one-instruction) block; the exit jump
+	// The PREFETCH heads its own (one-instruction) chain; the exit jump
 	// must not head one.
-	if blk, ok := cc.BlockAt(pl.Start + 3*isa.WordSize); !ok || len(blk.Insts) != 1 {
-		t.Fatalf("PREFETCH block: ok=%v len=%d, want a 1-instruction block", ok, len(blk.Insts))
+	if cb := cc.CompiledAt(pl.Start + 3*isa.WordSize); cb == nil || cb.Len() != 1 {
+		t.Fatalf("PREFETCH chain: %v, want a 1-instruction chain", cb)
 	}
-	if _, ok := cc.BlockAt(pl.End - isa.WordSize); ok {
-		t.Fatal("exit jump must not head a block")
+	if cc.CompiledAt(pl.End-isa.WordSize) != nil {
+		t.Fatal("exit jump must not head a chain")
 	}
 }
 
 // TestCodeCacheBlockPatchImm is the self-repair interaction: a
-// prefetch-distance rewrite (PatchImm) must invalidate block descriptors so
-// the next fetch through the block path decodes the rewritten word.
+// prefetch-distance rewrite (PatchImm) must retire the compiled chain so the
+// next fetch through the block path runs the rewritten word.
 func TestCodeCacheBlockPatchImm(t *testing.T) {
 	cc := NewCodeCache(0x10000000)
 	pl, err := cc.Place(straightTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build the descriptor first so staleness is actually possible.
-	if _, ok := cc.BlockAt(pl.Start); !ok {
-		t.Fatal("no block at trace start")
+	// Compile the chain first so staleness is actually possible.
+	stale := cc.CompiledAt(pl.Start)
+	if stale == nil {
+		t.Fatal("no chain at trace start")
 	}
 	// Rewrite the ADDI stride at the block head (the same primitive repair
 	// uses on PREFETCH distances; any word in the span must invalidate).
 	if err := cc.PatchImm(pl.Start, 16); err != nil {
 		t.Fatal(err)
 	}
-	blk, ok := cc.BlockAt(pl.Start)
-	if !ok {
-		t.Fatal("no block after PatchImm")
+	cb := cc.CompiledAt(pl.Start)
+	if cb == nil {
+		t.Fatal("no chain after PatchImm")
 	}
-	if blk.Insts[0].Imm != 16 {
-		t.Fatalf("stale block after PatchImm: imm = %d, want 16", blk.Insts[0].Imm)
+	if cb == stale {
+		t.Fatal("stale chain served after PatchImm")
+	}
+	if in, _ := cc.Fetch(pl.Start); in.Imm != 16 {
+		t.Fatalf("PatchImm not applied: imm = %d, want 16", in.Imm)
 	}
 }
 
 // TestCodeCacheBlockSurvivesPlace guards the append-reallocation hazard:
-// placing a second trace may reallocate the decoded image, so descriptors
-// handed out afterwards must alias the new backing arrays.
+// placing a second trace may reallocate the decoded image, so chains handed
+// out afterwards must be derived from the new backing arrays.
 func TestCodeCacheBlockSurvivesPlace(t *testing.T) {
 	cc := NewCodeCache(0x10000000)
 	p1, err := cc.Place(straightTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cc.BlockAt(p1.Start); !ok {
-		t.Fatal("no block in first trace")
+	if cc.CompiledAt(p1.Start) == nil {
+		t.Fatal("no chain in first trace")
 	}
 	p2, err := cc.Place(straightTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, start := range []uint64{p1.Start, p2.Start} {
-		blk, ok := cc.BlockAt(start)
-		if !ok || len(blk.Insts) != 4 {
-			t.Fatalf("block at %#x after second Place: ok=%v len=%d", start, ok, len(blk.Insts))
+		cb := cc.CompiledAt(start)
+		if cb == nil || cb.Len() != 4 || cb.Entry() != start {
+			t.Fatalf("chain at %#x after second Place: %v", start, cb)
 		}
-		in, _ := cc.Fetch(start)
-		if blk.Insts[0] != in {
-			t.Fatalf("block at %#x aliases a stale image", start)
+		if !cb.Matches(placedBlock(cc, start, 4)) {
+			t.Fatalf("chain at %#x was compiled from a stale image", start)
 		}
 	}
 }

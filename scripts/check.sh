@@ -18,17 +18,16 @@ go vet ./...
 # fast failure, then the full suite.
 go test -race -run TestConcurrentSystemsShareNothing ./internal/core/
 go test -race ./...
-# JIT tier legs. The differential suite under -race with the JIT engaged:
-# the fuzz oracle runs slow vs batch vs JIT (threshold 0 — compiled chains
-# resident everywhere, including across a mid-run PatchImm), and the fast-path
-# and sentinel suites cover promotion, quarantine, and restore at the stock
-# threshold. Then a compile-everything smoke at the binary boundary: a
-# -jit-threshold=0 run must finish clean and report byte-identically to the
-# reference loop.
+# Fast-path legs. The differential suite under -race: the fuzz oracle runs
+# the slow path against the fast path (every superblock compiled on first
+# use, so chains are resident everywhere, including across a mid-run
+# PatchImm), and the fast-path and sentinel suites cover compilation,
+# quarantine, and restore. Then the same contract at the binary boundary:
+# the default engine must report byte-identically to the reference loop.
 go test -race -run 'TestFastPath|TestSentinel|FuzzFastPathDifferential' ./internal/core/
 go test -race -run 'TestEngineReportIdentity|TestKillResumeDeterminism' ./cmd/tridentsim/
-go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -jit-threshold 0 > /tmp/jit0.out
-go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -slowpath | diff /tmp/jit0.out -
+go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 > /tmp/fast.out
+go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -slowpath | diff /tmp/fast.out -
 # Golden-trace conformance, twice in one process: -count=2 re-runs every
 # workload against the checked-in streams, so a run that mutates shared
 # state (and would only diverge on the second pass) still fails.
