@@ -17,11 +17,11 @@
 // Tables are byte-identical at any -j: runs execute concurrently but
 // results are assembled in a fixed order.
 //
-// A run that panics or exceeds -task-timeout is retried -retries times
-// with deterministic backoff; if it still fails, its cells render as "—"
-// and the failure is listed under the table. -fail-policy decides the exit
-// code of such a degraded invocation: "strict" (default) exits 1 so CI
-// notices, "degrade" exits 0 and lets the holes speak for themselves.
+// A run that panics or exceeds -task-timeout is retried -retries times,
+// back to back; if it still fails, its cells render as "—" and the failure
+// is listed under the table. -fail-policy decides the exit code of such a
+// degraded invocation: "strict" (default) exits 1 so CI notices,
+// "degrade" exits 0 and lets the holes speak for themselves.
 package main
 
 import (

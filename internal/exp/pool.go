@@ -19,11 +19,17 @@ import (
 //
 // The pool is also the suite's fault boundary. A run that panics or blows
 // its per-attempt deadline does not take the whole table generation down:
-// the worker recovers, retries the task a bounded number of times with a
-// deterministic seeded-jitter backoff, and if every attempt fails the task
-// resolves to a zero value with the error on record. Figures render such
-// runs as explicit holes ("—") and attach a failure manifest, so a partial
-// table degrades visibly instead of crashing or silently lying.
+// the worker recovers, retries the task a bounded number of times, and if
+// every attempt fails the task resolves to a zero value with the error on
+// record. Figures render such runs as explicit holes ("—") and attach a
+// failure manifest, so a partial table degrades visibly instead of
+// crashing or silently lying.
+//
+// Retries run back to back: the work is deterministic, CPU-bound and
+// in-process, so waiting between attempts buys nothing and would only hold
+// the pool slot idle. A retry can succeed where its attempt failed only
+// through the memo (a sampled run resumes its window schedule) or when the
+// failure was a deadline the next attempt happens to meet.
 //
 // Rule: a task submitted to the pool must never wait on another task's
 // future, or a single-job pool deadlocks (the waiter holds the only slot).
@@ -35,8 +41,6 @@ type pool struct {
 	sem     chan struct{}
 	retries int
 	timeout time.Duration
-	// pause is the backoff sleep, a seam so tests retry without real delay.
-	pause func(time.Duration)
 	// failures accumulates in wait order on the assembling goroutine —
 	// deterministic at any job count, like the rows themselves.
 	failures []Failure
@@ -61,7 +65,6 @@ func newPool(o Options) *pool {
 		sem:     make(chan struct{}, jobs),
 		retries: o.Retries,
 		timeout: o.TaskTimeout,
-		pause:   time.Sleep,
 	}
 }
 
@@ -144,7 +147,7 @@ func (t *task[T]) ok() bool {
 
 // submit schedules fn and returns its future. Goroutines are spawned
 // eagerly and gate on the pool's slots, so submission never blocks. The
-// label names the run in the failure manifest and seeds its retry jitter.
+// label names the run in the failure manifest.
 func submit[T any](p *pool, label string, fn func() T) *task[T] {
 	return submitStop(p, label, func(<-chan struct{}, *memo) T { return fn() })
 }
@@ -171,9 +174,6 @@ func submitStop[T any](p *pool, label string, fn func(stop <-chan struct{}, m *m
 			if out.err == nil || n >= p.retries {
 				break
 			}
-			// The slot is held through the backoff: a failing task should
-			// not free capacity it will reclaim moments later.
-			p.pause(backoff(label, n))
 		}
 		t.ch <- out
 	}()
@@ -212,31 +212,6 @@ func attempt[T any](p *pool, fn func(stop <-chan struct{}, m *memo) T, m *memo) 
 		var zero T
 		return zero, fmt.Errorf("timed out after %v", p.timeout)
 	}
-}
-
-// backoff is the deterministic retry delay: an exponential base plus a
-// jitter drawn from a splitmix64 stream seeded by the task's label and the
-// attempt number. Retrying tasks spread out instead of thundering in
-// lockstep, yet every execution of the suite sleeps identically.
-func backoff(label string, attempt int) time.Duration {
-	base := 50 * time.Millisecond << uint(attempt)
-	if base > 2*time.Second {
-		base = 2 * time.Second
-	}
-	h := uint64(14695981039346656037) // FNV-1a over the label
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211
-	}
-	j := splitmix64(h^uint64(attempt)) % uint64(base/2+1)
-	return base + time.Duration(j)
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // submitRun schedules one benchmark under one configuration.

@@ -4,33 +4,12 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-// quietPool builds a single-job pool whose backoff sleeps are recorded
-// instead of slept, so retry tests run instantly and can assert on the
-// delays the scheduler would have used. The recorder locks: a multi-job
-// pool's workers back off concurrently.
-func quietPool(o Options) (*pool, func() []time.Duration) {
-	p := newPool(o)
-	var mu sync.Mutex
-	var delays []time.Duration
-	p.pause = func(d time.Duration) {
-		mu.Lock()
-		delays = append(delays, d)
-		mu.Unlock()
-	}
-	return p, func() []time.Duration {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]time.Duration(nil), delays...)
-	}
-}
-
 func TestPoolRecoversPanicAndRetries(t *testing.T) {
-	p, delays := quietPool(Options{Jobs: 1, Retries: 2})
+	p := newPool(Options{Jobs: 1, Retries: 2})
 	calls := 0
 	ft := submit(p, "flaky", func() int {
 		calls++
@@ -48,16 +27,13 @@ func TestPoolRecoversPanicAndRetries(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("fn ran %d times, want 3", calls)
 	}
-	if n := len(delays()); n != 2 {
-		t.Fatalf("backoff slept %d times, want 2", n)
-	}
 	if m := p.manifest(); len(m) != 0 {
 		t.Fatalf("manifest has %d entries for a recovered task: %+v", len(m), m)
 	}
 }
 
 func TestPoolExhaustedRetriesLandInManifest(t *testing.T) {
-	p, _ := quietPool(Options{Jobs: 2, Retries: 1})
+	p := newPool(Options{Jobs: 2, Retries: 1})
 	// Two permanently failing tasks and one healthy one, waited in a fixed
 	// order: the manifest must list the failures in that wait order with
 	// the right attempt counts, and failed waits must yield zero values.
@@ -96,7 +72,7 @@ func TestPoolExhaustedRetriesLandInManifest(t *testing.T) {
 }
 
 func TestPoolTimeoutAbandonsAttempt(t *testing.T) {
-	p, _ := quietPool(Options{Jobs: 1, TaskTimeout: 5 * time.Millisecond})
+	p := newPool(Options{Jobs: 1, TaskTimeout: 5 * time.Millisecond})
 	release := make(chan struct{})
 	defer close(release)
 	ft := submit(p, "stuck", func() int { <-release; return 1 })
@@ -106,27 +82,6 @@ func TestPoolTimeoutAbandonsAttempt(t *testing.T) {
 	m := p.manifest()
 	if len(m) != 1 || !strings.Contains(m[0].Err, "timed out") {
 		t.Fatalf("manifest = %+v, want one timeout entry", m)
-	}
-}
-
-// TestBackoffDeterministicJitter pins the retry schedule: identical inputs
-// sleep identically (suite runs are reproducible), different labels spread
-// out, and the base grows exponentially with the attempt.
-func TestBackoffDeterministicJitter(t *testing.T) {
-	if backoff("a", 0) != backoff("a", 0) {
-		t.Fatal("backoff is not deterministic")
-	}
-	if backoff("a", 0) == backoff("b", 0) {
-		t.Fatal("jitter does not separate labels")
-	}
-	for _, label := range []string{"a", "b", "swim HW8x8/none"} {
-		for n := 0; n < 4; n++ {
-			d := backoff(label, n)
-			base := 50 * time.Millisecond << uint(n)
-			if d < base || d > base+base/2 {
-				t.Errorf("backoff(%q, %d) = %v outside [%v, %v]", label, n, d, base, base+base/2)
-			}
-		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package render holds the fixed-width column layout shared by the repo's
-// table printers (exp figure tables, cmd/benchdiff deltas, cmd/tracedump
-// disassembly, cmd/tracestats summaries). Value formatting stays with the
+// table printers (exp figure tables, cmd/tracedump disassembly,
+// cmd/tracestats summaries). Value formatting stays with the
 // caller; this package only pads and joins already-formatted cells, with
 // fmt-compatible semantics so extractions from Sprintf format strings stay
 // byte-identical.

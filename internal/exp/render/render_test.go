@@ -35,13 +35,13 @@ func TestColumnsNoTruncation(t *testing.T) {
 // TestColumnsMatchesFmt pins the fmt compatibility contract on the exact
 // layouts the callers extracted their format strings from.
 func TestColumnsMatchesFmt(t *testing.T) {
-	// cmd/benchdiff: "%-28s %15s %15s %8s %12s %8s".
-	bd := []int{-28, 15, 15, 8, 12, 8}
-	cells := []string{"BenchmarkFig2", "123457", "120001", "-2.8%", "+0", "+1"}
-	want := fmt.Sprintf("%-28s %15s %15s %8s %12s %8s",
-		cells[0], cells[1], cells[2], cells[3], cells[4], cells[5])
-	if got := Columns(" ", bd, cells...); got != want {
-		t.Errorf("benchdiff layout:\n got %q\nwant %q", got, want)
+	// cmd/tracestats tier table: "%-16s %14s %8s %14s %8s".
+	ts := []int{-16, 14, 8, 14, 8}
+	cells := []string{"jit", "123457", "98.1%", "120001", "97.5%"}
+	want := fmt.Sprintf("%-16s %14s %8s %14s %8s",
+		cells[0], cells[1], cells[2], cells[3], cells[4])
+	if got := Columns(" ", ts, cells...); got != want {
+		t.Errorf("tracestats layout:\n got %q\nwant %q", got, want)
 	}
 	// exp.Table: "%-12s" label then unseparated "%14s" cells.
 	want = fmt.Sprintf("%-12s%14s%14s", "swim", "1.234", "0.998")

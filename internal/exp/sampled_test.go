@@ -4,7 +4,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
+	"tridentsp/internal/core"
 	"tridentsp/internal/workloads"
 )
 
@@ -120,5 +122,34 @@ func TestSampledFigureSmoke(t *testing.T) {
 				t.Errorf("%s: cell %d is a hole", r.Label, i)
 			}
 		}
+	}
+}
+
+// TestSampledRunResumesFromMemo drives the pool's retry path by hand: the
+// first attempt is stopped as soon as it has published a commit-point
+// snapshot to its memo, and the retry resumes the window schedule from
+// that memo. The resumed estimate must equal an unbroken run's — the
+// property that makes retries worth keeping for sampled runs.
+func TestSampledRunResumesFromMemo(t *testing.T) {
+	o := QuickOptions()
+	o.Instrs = 2_000_000
+	bm, _ := workloads.ByName("mcf")
+	cfg := core.DefaultConfig()
+	want := sampledRun(bm, cfg, o, nil, nil)
+
+	m := &memo{}
+	stop := make(chan struct{})
+	go func() {
+		for m.load() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		close(stop)
+	}()
+	broken := sampledRun(bm, cfg, o, stop, m)
+	if broken.Total >= want.Total {
+		t.Fatalf("stop did not interrupt the first attempt (progress %d of %d)", broken.Total, want.Total)
+	}
+	if got := sampledRun(bm, cfg, o, nil, m); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed estimate differs:\nresumed:  %+v\nunbroken: %+v", got, want)
 	}
 }

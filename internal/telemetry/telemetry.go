@@ -10,8 +10,8 @@
 // Chrome trace_event file.
 //
 // Cost contract: a disabled tracer is a nil *Tracer, and every Emit through
-// it is one nil check — zero allocations, no stores (the benchdiff gate and
-// TestEmitZeroAlloc enforce this). An enabled tracer allocates its rings
+// it is one nil check — zero allocations, no stores (TestEmitZeroAlloc
+// enforces this). An enabled tracer allocates its rings
 // once at construction; Emit writes one fixed-size slot and bumps one
 // counter, allocating nothing.
 //
