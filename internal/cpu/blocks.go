@@ -71,11 +71,13 @@ type Block struct {
 
 // BlockStats counts block-cache activity: lazy re-derivations after
 // invalidation (Rebuilds), generation bumps (Invalidations), calls into
-// Compile (Compiles), and stale chains kept because their content
-// survived the bump (Revalidations). Always on — counter increments on paths
-// that already do real work — and snapshotted into the telemetry registry.
-// Resident is not a counter: Stats counts the chains the cache currently
-// holds (stale or not), so tests can prove DropCompiled released them.
+// Compile (Compiles), and stale views or head chains kept because their
+// content survived the bump (Revalidations). Always on — counter increments
+// on paths that already do real work — and snapshotted into the telemetry
+// registry.
+// Resident is not a counter: Stats counts the entries currently holding a
+// view into a chain (stale or not), so tests can prove DropCompiled released
+// them.
 type BlockStats struct {
 	Rebuilds      uint64
 	Invalidations uint64
@@ -84,10 +86,10 @@ type BlockStats struct {
 	Resident      uint64
 }
 
-// blockEnt memoizes the compiled chain for the block starting at one word
-// index (nil: no block starts there). gen tags the entry with the cache
-// generation it was derived under, so a patch invalidates every entry with a
-// single counter bump instead of a sweep.
+// blockEnt memoizes the launch point for the block starting at one word
+// index — a view into its run's chain (nil: no block starts there). gen tags
+// the entry with the cache generation it was derived under, so a patch
+// invalidates every entry with a single counter bump instead of a sweep.
 type blockEnt struct {
 	gen uint64
 	cb  *CompiledBlock
@@ -125,8 +127,8 @@ func (c *BlockCache) SetSource(insts []isa.Inst, weights []int) {
 	// regrowth-pinning bug this fixed. Entries are carried over by value
 	// (truncation drops the tail) because word indices are stable under
 	// append-style regrowth and every carried entry is gen-stale, so its
-	// first use under the new generation revalidates the chain against
-	// current content (see CompiledAt) — a placement that appends a trace
+	// first use under the new generation revalidates the view against
+	// current content (see refresh) — a placement that appends a trace
 	// must not throw away every compiled chain. Entries whose content did
 	// change recompile on first use; DropCompiled covers the paths that must
 	// release chains eagerly.
@@ -135,9 +137,9 @@ func (c *BlockCache) SetSource(insts []isa.Inst, weights []int) {
 	copy(c.ents, old)
 }
 
-// Invalidate marks every cached chain stale (the image was patched in
-// place). Chains are keyed by (word, gen) and revalidate or recompile
-// lazily on first use under the new generation.
+// Invalidate marks every cached view stale (the image was patched in
+// place). Views are keyed by (word, gen) and revalidate or recompile lazily
+// on first use under the new generation.
 func (c *BlockCache) Invalidate() {
 	c.gen++
 	c.stats.Invalidations++
@@ -152,7 +154,7 @@ func (c *BlockCache) DropCompiled() {
 	clear(c.ents)
 }
 
-// Stats returns the activity counters and the resident chain count.
+// Stats returns the activity counters and the resident view count.
 func (c *BlockCache) Stats() BlockStats {
 	st := c.stats
 	for i := range c.ents {
@@ -163,13 +165,12 @@ func (c *BlockCache) Stats() BlockStats {
 	return st
 }
 
-// CompiledAt returns the compiled chain for the superblock starting at pc,
-// or nil when pc is outside the image, unaligned, or the instruction at pc
-// is not a block member. A chain resident under the current generation is
-// returned at the cost of two bounds checks and a generation compare — the
-// fast path calls this on every launch. Otherwise the block is re-derived
-// from the image and its chain revalidated by content or compiled, once per
-// generation.
+// CompiledAt returns the compiled superblock starting at pc, or nil when pc
+// is outside the image, unaligned, or the instruction at pc is not a block
+// member. A view resident under the current generation is returned at the
+// cost of two bounds checks and a generation compare — the fast path calls
+// this on every launch. Otherwise the block is re-derived from the image and
+// its run's chain revalidated by content or compiled, once per generation.
 func (c *BlockCache) CompiledAt(pc uint64) *CompiledBlock {
 	if pc < c.base || pc%isa.WordSize != 0 {
 		return nil
@@ -180,45 +181,75 @@ func (c *BlockCache) CompiledAt(pc uint64) *CompiledBlock {
 	}
 	e := &c.ents[i]
 	if e.gen != c.gen {
-		c.refresh(e, int(i), pc)
+		c.refresh(e, int(i))
 	}
 	return e.cb
 }
 
 // refresh re-derives the block at word index i under the current
-// generation. A carried chain whose content survived the bump is kept:
-// self-repair's PatchImm bumps the generation constantly, and without
-// content revalidation every repair would recompile the whole image.
-func (c *BlockCache) refresh(e *blockEnt, i int, pc uint64) {
+// generation. Every block starting inside a run of members is a suffix of
+// the block at the run head h — the first member after a non-member or a
+// branch — so only the head is compiled, and i gets the head chain's view
+// at offset i−h. A carried view whose own instructions survived the bump is
+// kept as it is, and a carried head chain whose content survived is
+// revalidated rather than recompiled: self-repair's PatchImm bumps the
+// generation constantly, and without content revalidation every repair
+// would recompile the whole image.
+func (c *BlockCache) refresh(e *blockEnt, i int) {
 	c.stats.Rebuilds++
 	e.gen = c.gen
-	n := 0
-scan:
-	for j := i; j < len(c.insts); j++ {
-		switch blockMember(c.insts[j].Op) {
-		case memberPlain, memberMem:
-			n++
-		case memberBranch:
-			n++
-			break scan
-		default:
-			break scan
-		}
-	}
-	if n == 0 {
+	if blockMember(c.insts[i].Op) == memberNo {
 		e.cb = nil
 		return
 	}
-	b := Block{Insts: c.insts[i : i+n]}
-	if c.weights != nil {
-		b.Weights = c.weights[i : i+n]
+	end := i
+	for end < len(c.insts) && runBody(c.insts[end].Op) {
+		end++
 	}
-	if e.cb != nil && e.cb.Matches(b) {
+	if end < len(c.insts) && blockMember(c.insts[end].Op) == memberBranch {
+		end++
+	}
+	if e.cb != nil && e.cb.Matches(c.block(i, end)) {
 		c.stats.Revalidations++
 		return
 	}
-	// Compile accepts every block the scan above derives, so a nil chain
-	// here would be a compiler bug; it degrades to the one-step loop.
-	e.cb = Compile(b, pc)
-	c.stats.Compiles++
+	h := i
+	for h > 0 && runBody(c.insts[h-1].Op) {
+		h--
+	}
+	if h == i {
+		// Compile accepts every block the scan above derives, so a nil
+		// chain here would be a compiler bug; it degrades to the one-step
+		// loop.
+		e.cb = Compile(c.block(i, end), c.base+uint64(i)*isa.WordSize)
+		c.stats.Compiles++
+		return
+	}
+	head := &c.ents[h]
+	if head.gen != c.gen {
+		c.refresh(head, h)
+	}
+	// The head's view need not sit at its chain's offset 0: a carried view
+	// revalidated as a suffix of an older, longer run keeps its offset.
+	if hc := head.cb; hc != nil {
+		e.cb = &hc.c.views[hc.start+i-h]
+	} else {
+		e.cb = nil
+	}
+}
+
+// block returns the image's instructions [i, end) as a Block.
+func (c *BlockCache) block(i, end int) Block {
+	b := Block{Insts: c.insts[i:end]}
+	if c.weights != nil {
+		b.Weights = c.weights[i:end]
+	}
+	return b
+}
+
+// runBody reports whether op continues a run: a member that is not its
+// terminating branch.
+func runBody(op isa.Op) bool {
+	k := blockMember(op)
+	return k == memberPlain || k == memberMem
 }

@@ -397,3 +397,42 @@ func TestBlockCacheRegrowthReuse(t *testing.T) {
 		t.Fatalf("Resident = %d after DropCompiled, want 0", got)
 	}
 }
+
+// TestBlockCacheRunHeadMoves pins revalidation when a patch moves a run's
+// head: the word that headed the run stops being a member, so the next
+// member heads the shortened run, and its carried view — an offset into the
+// old, longer chain — still matches the new run. Lookups anywhere in the new
+// run reuse that chain at the right offsets instead of compiling.
+func TestBlockCacheRunHeadMoves(t *testing.T) {
+	seq := []isa.Inst{
+		{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: 1},                  // 0x00
+		{Op: isa.ADDI, Rd: 2, Ra: 2, Imm: 2},                  // 0x08
+		{Op: isa.ADDI, Rd: 3, Ra: 3, Imm: 3},                  // 0x10
+		{Op: isa.ADDI, Rd: 4, Ra: 4, Imm: 4},                  // 0x18
+		{Op: isa.BNE, Ra: 1, Imm: isa.BranchDisp(0x20, 0x08)}, // 0x20
+		{Op: isa.HALT}, // 0x28
+	}
+	c := NewBlockCache(0)
+	c.SetSource(seq, nil)
+	if cb := c.CompiledAt(0x08); cb == nil || cb.Len() != 4 {
+		t.Fatalf("initial view: %v, want 4 instructions", cb)
+	}
+	patched := append([]isa.Inst(nil), seq...)
+	patched[0] = isa.Inst{Op: isa.HALT}
+	c.SetSource(patched, nil)
+	for pc := uint64(0x10); pc < 0x28; pc += isa.WordSize {
+		cb := c.CompiledAt(pc)
+		if cb == nil || cb.Entry() != pc || cb.Len() != int((0x28-pc)/isa.WordSize) {
+			t.Fatalf("CompiledAt(%#x) after the head moved: %v", pc, cb)
+		}
+	}
+	if cb := c.CompiledAt(0x08); cb == nil || cb.Len() != 4 {
+		t.Fatalf("new run head: %v, want 4 instructions", cb)
+	}
+	if c.CompiledAt(0) != nil {
+		t.Fatal("patched HALT still heads a chain")
+	}
+	if got := c.Stats().Compiles; got != 1 {
+		t.Fatalf("Compiles = %d, want 1 (the moved run reuses its chain)", got)
+	}
+}

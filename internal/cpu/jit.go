@@ -13,13 +13,14 @@ import (
 // chain of specialized Go closures — register indices and immediates folded
 // into captures, the zero-register and taint-propagation cases resolved at
 // compile time, runs of plain ALU instructions fused into a single call,
-// branch targets precomputed — and ExecCompiled drives the chain. Loads run
+// branch targets precomputed — and ExecCompiled drives the chain from any
+// of its instructions (a CompiledBlock names the launch point). Loads run
 // through the hierarchy's L1-hit fast probe, stores and prefetches through
 // their direct hierarchy calls, and the terminating conditional branch
-// through the real predictor, folding a taken back-edge onto the block entry
-// so whole loop iterations retire per call. Whenever an instruction cannot
-// be proven equivalent to the full Step dispatch (a load the fast probe
-// declines, a missing memory system), the chain stops *before* that
+// through the real predictor, folding a taken back-edge onto the launch
+// point so whole loop iterations retire per call. Whenever an instruction
+// cannot be proven equivalent to the full Step dispatch (a load the fast
+// probe declines, a missing memory system), the chain stops *before* that
 // instruction with exact architectural state, so the caller's one-step loop
 // resumes on precisely the instruction that needs the slow path.
 //
@@ -30,10 +31,10 @@ import (
 // by opcode: post-commit stop conditions (weight budget, issue-unit horizon
 // cap, block end) are evaluated after each commit, NeedSlow stops happen
 // *before* the offending instruction, hooked loads and branches pre-stop
-// near the horizon, and a taken back-edge folds only while no stop
-// condition holds. The lockstep tests in jit_test.go and the core's
-// slow-versus-fast differential fuzzer hold the chain bit-identical to the
-// one-step loop.
+// near the horizon, and a taken back-edge folds, onto the launch point
+// only, while no stop condition holds. The lockstep tests in jit_test.go and
+// the core's slow-versus-fast differential fuzzer hold the chain
+// bit-identical to the one-step loop.
 
 // SBHooks lets the simulation core observe batched instructions that its
 // slow path would have monitored, without ExecCompiled knowing anything
@@ -52,8 +53,8 @@ type SBHooks struct {
 	// pre-stop (accounting for a possible misprediction penalty) so a hook
 	// never observes an instruction that crossed the horizon.
 	Branch func(pc uint64, in *isa.Inst, taken bool, now int64) bool
-	// LoopBack is called when a taken branch folds back to the block entry
-	// and the batch continues: the entry instruction is guaranteed to
+	// LoopBack is called when a taken branch folds back to the launch point
+	// and the batch continues: the launch instruction is guaranteed to
 	// re-execute within this batch. now is the branch's post-commit cycle.
 	LoopBack func(now int64)
 }
@@ -136,16 +137,16 @@ type jitSeg struct {
 	rb     isa.Reg
 	imm    uint64
 
-	// segBranch: specialized direction test, precomputed taken target, and
-	// whether the taken edge folds back to the block entry.
+	// segBranch: specialized direction test and precomputed taken target.
 	cond   func(*Thread) bool
 	target uint64
-	isLoop bool
 }
 
-// CompiledBlock is one superblock lowered to a closure chain. It is immutable
-// after Compile and holds no reference to the decoded image it came from.
-type CompiledBlock struct {
+// jitChain is one superblock run lowered to a closure chain. It is immutable
+// after compileBlock and holds no reference to the decoded image it came
+// from. Every block that starts inside the run ends at the same terminator,
+// so one chain serves launches at any of its instructions (see views).
+type jitChain struct {
 	entry uint64
 	n     int
 	segs  []jitSeg
@@ -159,55 +160,90 @@ type CompiledBlock struct {
 	// after every PatchImm.
 	srcInsts   []isa.Inst
 	srcWeights []int
+
+	// views[k] launches the chain at its k-th instruction. Built with the
+	// chain, so a lookup hands out a launch point without allocating and
+	// the same (chain, offset) is always the same pointer.
+	views []CompiledBlock
 }
 
-// Matches reports whether the block's current content is identical to the
-// source this chain was compiled from, meaning the chain is still valid.
-func (cb *CompiledBlock) Matches(b Block) bool {
-	if len(b.Insts) != len(cb.srcInsts) {
+// CompiledBlock is a launch point into a compiled chain: the superblock that
+// starts at instruction start of the chain's run and ends at its terminator.
+// Like the chain it is immutable and shared.
+type CompiledBlock struct {
+	c     *jitChain
+	start int // offset of the launch instruction in the chain
+	seg   int // index of the segment holding the launch instruction
+}
+
+// matches reports whether b is identical to the chain's source from
+// instruction from onwards.
+func (c *jitChain) matches(b Block, from int) bool {
+	src := c.srcInsts[from:]
+	if len(b.Insts) != len(src) {
 		return false
 	}
 	for i, in := range b.Insts {
-		if in != cb.srcInsts[i] {
+		if in != src[i] {
 			return false
 		}
 	}
-	if (b.Weights == nil) != (cb.srcWeights == nil) {
+	if (b.Weights == nil) != (c.srcWeights == nil) {
 		return false
 	}
 	for i, w := range b.Weights {
-		if w != cb.srcWeights[i] {
+		if w != c.srcWeights[from+i] {
 			return false
 		}
 	}
 	return true
 }
 
+// Matches reports whether the block's current content is identical to the
+// source its chain was compiled from, from the launch point to the end,
+// meaning the view is still valid.
+func (cb *CompiledBlock) Matches(b Block) bool { return cb.c.matches(b, cb.start) }
+
 // weight returns instruction k's original-instruction weight.
-func (cb *CompiledBlock) weight(k int) uint64 {
-	if cb.srcWeights == nil {
+func (c *jitChain) weight(k int) uint64 {
+	if c.srcWeights == nil {
 		return 1
 	}
-	return uint64(cb.srcWeights[k])
+	return uint64(c.srcWeights[k])
 }
 
-// Entry returns the block's entry address (test helper).
-func (cb *CompiledBlock) Entry() uint64 { return cb.entry }
+// weightSum returns the total weight of instructions [k, k+n).
+func (c *jitChain) weightSum(k, n int) uint64 {
+	if c.srcWeights == nil {
+		return uint64(n)
+	}
+	var w uint64
+	for _, x := range c.srcWeights[k : k+n] {
+		w += uint64(x)
+	}
+	return w
+}
 
-// Len returns the instruction count.
-func (cb *CompiledBlock) Len() int { return cb.n }
+// Entry returns the launch address: the block's first instruction.
+func (cb *CompiledBlock) Entry() uint64 {
+	return cb.c.entry + uint64(cb.start)*isa.WordSize
+}
+
+// Len returns the instruction count from the launch point to the block end.
+func (cb *CompiledBlock) Len() int { return cb.c.n - cb.start }
 
 // Prefix returns the chain for the first n instructions of cb's block
-// (0 < n < Len()), compiled through the shared cache like any other block —
-// the cache keys on block length, so the prefix is its own chain. The core
-// uses it for an in-trace block that would otherwise run past its
-// placement's end.
+// (0 < n < Len()), starting at its launch point and compiled through the
+// shared cache like any other block — the cache keys on entry and length,
+// so the prefix is its own chain. The core uses it for an in-trace block
+// that would otherwise run past its placement's end.
 func (cb *CompiledBlock) Prefix(n int) *CompiledBlock {
-	b := Block{Insts: cb.srcInsts[:n]}
-	if cb.srcWeights != nil {
-		b.Weights = cb.srcWeights[:n]
+	c := cb.c
+	b := Block{Insts: c.srcInsts[cb.start : cb.start+n]}
+	if c.srcWeights != nil {
+		b.Weights = c.srcWeights[cb.start : cb.start+n]
 	}
-	return Compile(b, cb.entry)
+	return Compile(b, cb.Entry())
 }
 
 // jitNop is the compiled form of NOP (and of any ALU write to the hardwired
@@ -320,7 +356,7 @@ func compileCond(op isa.Op, ra isa.Reg) func(*Thread) bool {
 	return nil
 }
 
-// jitShared is the process-wide compiled-block cache. A CompiledBlock is
+// jitShared is the process-wide compiled-block cache. A chain is
 // immutable and closes over nothing but instruction content and absolute
 // addresses, so two caches looking at identical code at the same address can
 // share one chain. The experiment harness runs the same master programs
@@ -340,7 +376,7 @@ const jitShardCount = 16 // power of two; shard picked from the content hash
 
 type jitShard struct {
 	mu sync.Mutex
-	m  map[jitKey]*CompiledBlock
+	m  map[jitKey]*jitChain
 }
 
 var jitShards [jitShardCount]jitShard
@@ -379,11 +415,11 @@ func blockKey(b Block, entry uint64) jitKey {
 	return jitKey{entry: entry, n: len(b.Insts), hash: h}
 }
 
-// Compile lowers b, whose first instruction sits at entry, into a
-// CompiledBlock, consulting the shared cache first. b must be a well-formed
-// superblock (member instructions only, at most one conditional branch, in
-// final position); Compile returns nil if it encounters anything else, and
-// the caller falls back to the one-step loop.
+// Compile lowers b, whose first instruction sits at entry, into a chain,
+// consulting the shared cache first, and returns the launch point at its
+// entry. b must be a well-formed superblock (member instructions only, at
+// most one conditional branch, in final position); Compile returns nil if it
+// encounters anything else, and the caller falls back to the one-step loop.
 func Compile(b Block, entry uint64) *CompiledBlock {
 	if len(b.Insts) == 0 {
 		return nil
@@ -391,12 +427,12 @@ func Compile(b Block, entry uint64) *CompiledBlock {
 	k := blockKey(b, entry)
 	sh := shardFor(k)
 	sh.mu.Lock()
-	cb := sh.m[k]
+	c := sh.m[k]
 	sh.mu.Unlock()
-	if cb != nil && cb.entry == entry && cb.Matches(b) {
-		return cb
+	if c != nil && c.entry == entry && c.matches(b, 0) {
+		return &c.views[0]
 	}
-	cb = compileBlock(b, entry)
+	cb := compileBlock(b, entry)
 	if cb == nil {
 		return nil
 	}
@@ -405,9 +441,9 @@ func Compile(b Block, entry uint64) *CompiledBlock {
 		sh.m = nil
 	}
 	if sh.m == nil {
-		sh.m = map[jitKey]*CompiledBlock{}
+		sh.m = map[jitKey]*jitChain{}
 	}
-	sh.m[k] = cb
+	sh.m[k] = cb.c
 	sh.mu.Unlock()
 	return cb
 }
@@ -418,14 +454,14 @@ func compileBlock(b Block, entry uint64) *CompiledBlock {
 	if n == 0 {
 		return nil
 	}
-	cb := &CompiledBlock{
+	c := &jitChain{
 		entry:    entry,
 		n:        n,
 		ops:      make([]func(*Thread), n),
 		srcInsts: append([]isa.Inst(nil), b.Insts...),
 	}
 	if b.Weights != nil {
-		cb.srcWeights = append([]int(nil), b.Weights...)
+		c.srcWeights = append([]int(nil), b.Weights...)
 	}
 
 	for i := 0; i < n; {
@@ -442,26 +478,26 @@ func compileBlock(b Block, entry uint64) *CompiledBlock {
 				if op == nil {
 					return nil
 				}
-				cb.ops[j] = op
+				c.ops[j] = op
 				if b.Insts[j].Op == isa.NOP || b.Insts[j].Rd == isa.ZeroReg {
 					nops++
 				}
-				w += cb.weight(j)
+				w += c.weight(j)
 				j++
 			}
-			run := cb.ops[i:j]
+			run := c.ops[i:j]
 			sg := jitSeg{kind: segALU, idx: i, n: j - i, w: w, pc: pc}
 			if nops == 0 {
 				sg.fused = fuseRunDense(run)
 			} else {
 				sg.fused = fuseSparse(run, b.Insts[i:j])
 			}
-			cb.segs = append(cb.segs, sg)
+			c.segs = append(c.segs, sg)
 			i = j
 
 		case memberMem:
 			sg := jitSeg{
-				idx: i, n: 1, w: cb.weight(i), pc: pc,
+				idx: i, n: 1, w: c.weight(i), pc: pc,
 				rd: in.Rd, ra: in.Ra, rb: in.Rb, imm: uint64(in.Imm),
 			}
 			switch in.Op {
@@ -474,27 +510,31 @@ func compileBlock(b Block, entry uint64) *CompiledBlock {
 			case isa.PREFETCH:
 				sg.kind = segPrefetch
 			}
-			cb.segs = append(cb.segs, sg)
+			c.segs = append(c.segs, sg)
 			i++
 
 		case memberBranch:
 			if i != n-1 {
 				return nil // branch not in final position: malformed block
 			}
-			sg := jitSeg{
-				kind: segBranch, idx: i, n: 1, w: cb.weight(i), pc: pc,
+			c.segs = append(c.segs, jitSeg{
+				kind: segBranch, idx: i, n: 1, w: c.weight(i), pc: pc,
 				cond:   compileCond(in.Op, in.Ra),
 				target: isa.BranchTarget(pc, in),
-			}
-			sg.isLoop = sg.target == entry
-			cb.segs = append(cb.segs, sg)
+			})
 			i++
 
 		default:
 			return nil
 		}
 	}
-	return cb
+	c.views = make([]CompiledBlock, n)
+	for si, sg := range c.segs {
+		for k := sg.idx; k < sg.idx+sg.n; k++ {
+			c.views[k] = CompiledBlock{c: c, start: k, seg: si}
+		}
+	}
+	return &c.views[0]
 }
 
 // fuseRunDense fuses a nop-free run into a single call. The fused closure
@@ -542,10 +582,10 @@ func fuseSparse(fs []func(*Thread), ins []isa.Inst) func(*Thread) {
 // each commit, so the final instruction is exactly the one whose commit
 // crossed the budget or horizon; NeedSlow stops happen *before* the
 // offending instruction (t.PC() then addresses it), hooked loads and
-// branches that might cross the horizon pre-stop, and taken back-edges fold
-// onto the entry — leaving committed/PC and all machine state exactly as
-// the one-step loop would have them. The caller guarantees t.PC() ==
-// cb.Entry() and the thread is not halted.
+// branches that might cross the horizon pre-stop, and a taken branch back to
+// the launch point folds onto it — leaving committed/PC and all machine
+// state exactly as the one-step loop would have them. The caller guarantees
+// t.PC() == cb.Entry() and the thread is not halted.
 func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon int64, hooks *SBHooks) SBExec {
 	var (
 		hookLoad   func(pc, addr, value uint64, res memsys.Result, now int64) bool
@@ -563,26 +603,43 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 	memOK := t.hier != nil && t.mem != nil
 	loadFastOK := memOK && t.hier.L1Latency() <= t.cfg.OverlapWindow
 
+	c := cb.c
+	launchPC := cb.Entry()
 	var ex SBExec
-	si := 0
+	si := cb.seg
 	for {
-		sg := &cb.segs[si]
+		sg := &c.segs[si]
 		switch sg.kind {
 		case segALU:
+			k, n, w, fused := sg.idx, sg.n, sg.w, sg.fused
+			if si == cb.seg && cb.start != k {
+				// Launched (or folded back) inside the run: commit its
+				// remainder, one closure per instruction.
+				n -= cb.start - k
+				k = cb.start
+				w = c.weightSum(k, n)
+				fused = nil
+			}
 			// Whole-run fast case: when the run's final commit lands strictly
 			// below both the weight budget and the unit cap, no intermediate
 			// post-commit check can fire either (both accumulators increase
-			// monotonically), so the fused body runs without per-instruction
+			// monotonically), so the run executes without per-instruction
 			// bookkeeping.
-			addUnits := int64(sg.n) * units
-			if ex.Weight+sg.w < weightBudget && t.issueUnits+addUnits < unitsCap {
-				sg.fused(t)
+			addUnits := int64(n) * units
+			if ex.Weight+w < weightBudget && t.issueUnits+addUnits < unitsCap {
+				if fused != nil {
+					fused(t)
+				} else {
+					for _, op := range c.ops[k : k+n] {
+						op(t)
+					}
+				}
 				t.issueUnits += addUnits
-				ex.N += sg.n
-				ex.Weight += sg.w
-				if si+1 == len(cb.segs) {
+				ex.N += n
+				ex.Weight += w
+				if si+1 == len(c.segs) {
 					// Block ends in a straight-line instruction.
-					t.pc = sg.pc + uint64(sg.n)*isa.WordSize
+					t.pc = c.entry + uint64(k+n)*isa.WordSize
 					t.committed += uint64(ex.N)
 					return ex
 				}
@@ -592,14 +649,13 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 			// Stepwise tail: some instruction in this run crosses the budget
 			// or the cap; commit one at a time with Step's exact
 			// post-commit checks.
-			for j := 0; j < sg.n; j++ {
-				k := sg.idx + j
-				cb.ops[k](t)
+			for j := k; j < k+n; j++ {
+				c.ops[j](t)
 				t.issueUnits += units
 				ex.N++
-				ex.Weight += cb.weight(k)
-				if ex.Weight >= weightBudget || t.issueUnits >= unitsCap || k+1 == cb.n {
-					t.pc = cb.entry + uint64(k+1)*isa.WordSize
+				ex.Weight += c.weight(j)
+				if ex.Weight >= weightBudget || t.issueUnits >= unitsCap || j+1 == c.n {
+					t.pc = c.entry + uint64(j+1)*isa.WordSize
 					t.committed += uint64(ex.N)
 					return ex
 				}
@@ -631,7 +687,7 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 			if hookLoad != nil {
 				stop = hookLoad(sg.pc, addr, v, res, t.Now())
 			}
-			if stop || ex.Weight >= weightBudget || t.issueUnits >= unitsCap || sg.idx+1 == cb.n {
+			if stop || ex.Weight >= weightBudget || t.issueUnits >= unitsCap || sg.idx+1 == c.n {
 				t.pc = sg.pc + isa.WordSize
 				t.committed += uint64(ex.N)
 				return ex
@@ -655,7 +711,7 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 			t.issueUnits += units
 			ex.N++
 			ex.Weight += sg.w
-			if ex.Weight >= weightBudget || t.issueUnits >= unitsCap || sg.idx+1 == cb.n {
+			if ex.Weight >= weightBudget || t.issueUnits >= unitsCap || sg.idx+1 == c.n {
 				t.pc = sg.pc + isa.WordSize
 				t.committed += uint64(ex.N)
 				return ex
@@ -672,7 +728,7 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 			t.issueUnits += units
 			ex.N++
 			ex.Weight += sg.w
-			if ex.Weight >= weightBudget || t.issueUnits >= unitsCap || sg.idx+1 == cb.n {
+			if ex.Weight >= weightBudget || t.issueUnits >= unitsCap || sg.idx+1 == c.n {
 				t.pc = sg.pc + isa.WordSize
 				t.committed += uint64(ex.N)
 				return ex
@@ -687,7 +743,7 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 			t.issueUnits += units
 			ex.N++
 			ex.Weight += sg.w
-			if ex.Weight >= weightBudget || t.issueUnits >= unitsCap || sg.idx+1 == cb.n {
+			if ex.Weight >= weightBudget || t.issueUnits >= unitsCap || sg.idx+1 == c.n {
 				t.pc = sg.pc + isa.WordSize
 				t.committed += uint64(ex.N)
 				return ex
@@ -713,15 +769,15 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 			ex.Weight += sg.w
 			stop := false
 			if hookBranch != nil {
-				stop = hookBranch(sg.pc, &cb.srcInsts[sg.idx], taken, t.Now())
+				stop = hookBranch(sg.pc, &c.srcInsts[sg.idx], taken, t.Now())
 			}
-			if taken && sg.isLoop && !stop &&
+			if taken && sg.target == launchPC && !stop &&
 				ex.Weight < weightBudget && t.issueUnits < unitsCap {
-				// Fold the back-edge: restart the chain at its entry.
+				// Fold the back-edge: restart the chain at the launch point.
 				if hookLoop != nil {
 					hookLoop(t.Now())
 				}
-				si = 0
+				si = cb.seg
 				continue
 			}
 			t.pc = nextPC

@@ -184,6 +184,48 @@ func TestExecCompiledFoldsBackEdge(t *testing.T) {
 	assertSameState(t, th, ref)
 }
 
+// TestExecCompiledFoldsOntoMidRunLaunch pins the fold rule for a back-edge
+// that targets an instruction inside a run: launched at the run head the
+// taken branch leaves the chain (its target is not the launch point);
+// launched at the target, inside the fused ALU run, every iteration folds
+// back onto that offset, and the state matches the one-step loop.
+func TestExecCompiledFoldsOntoMidRunLaunch(t *testing.T) {
+	seq := []isa.Inst{
+		{Op: isa.LDI, Rd: 1, Imm: 0x4000},                         // 0x1000 run head
+		{Op: isa.LDI, Rd: 2, Imm: 8},                              // 0x1008
+		{Op: isa.ADDI, Rd: 3, Ra: 3, Imm: 5},                      // 0x1010 loop
+		{Op: isa.SUBI, Rd: 2, Ra: 2, Imm: 1},                      // 0x1018
+		{Op: isa.BNE, Ra: 2, Imm: isa.BranchDisp(0x1020, 0x1010)}, // 0x1020
+		{Op: isa.HALT}, // 0x1028
+	}
+	p := buildProgram(t, seq)
+	ref, _ := newTestThread(p)
+	runRef(ref)
+
+	th, ps := newTestThread(p)
+	folds := 0
+	hk := &SBHooks{LoopBack: func(int64) { folds++ }}
+	ex := th.ExecCompiled(ps.CompiledAt(0x1000), math.MaxUint64, math.MaxInt64, hk)
+	if ex.N != 5 || th.PC() != 0x1010 || folds != 0 {
+		t.Fatalf("head launch: %+v pc=%#x folds=%d, want 5 instructions ending at 0x1010 unfolded",
+			ex, th.PC(), folds)
+	}
+	loop := ps.CompiledAt(0x1010)
+	if loop.Entry() != 0x1010 || loop.Len() != 3 {
+		t.Fatalf("mid-run view: entry=%#x len=%d, want 0x1010 len 3", loop.Entry(), loop.Len())
+	}
+	ex2 := th.ExecCompiled(loop, math.MaxUint64, math.MaxInt64, hk)
+	if ex2.N != 21 || th.PC() != 0x1028 || folds != 6 {
+		t.Fatalf("mid-run launch: %+v pc=%#x folds=%d, want 7 iterations (21 instructions, 6 folds) ending at 0x1028",
+			ex2, th.PC(), folds)
+	}
+	if got := ps.BlockStats().Compiles; got != 1 {
+		t.Fatalf("Compiles = %d, want 1 (both launches share the run's chain)", got)
+	}
+	th.Step() // HALT
+	assertSameState(t, th, ref)
+}
+
 // TestExecCompiledHonorsWeightBudgetAcrossFolds pins that folding never
 // overruns the weight budget: the chain stops on the instruction whose commit
 // reached it, mid-iteration, with PC resuming there.
@@ -208,13 +250,15 @@ func TestExecCompiledHonorsWeightBudgetAcrossFolds(t *testing.T) {
 
 // TestExecCompiledLockstepRandomBudgets runs compiled chains with randomized
 // weight budgets and horizons over the rich kernel, in lockstep with a
-// reference thread that replays each batch one Step at a time. After every
-// single batch the two threads must hold identical state, and the batch must
-// have stopped exactly where the contract says: no earlier instruction met a
-// stop condition, and the last one either met one (budget or horizon),
-// ended the block, or — on NeedSlow — left PC on a memory operation the fast
-// probes declined. The stop/resume contract at every boundary, not just at
-// termination.
+// reference thread that replays each batch one Step at a time. Random
+// single steps between batches move the launch point across the whole
+// block, so batches start at every instruction of the loop run, including
+// offsets inside its fused ALU run. After every single batch the two threads
+// must hold identical state, and the batch must have stopped exactly where
+// the contract says: no earlier instruction met a stop condition, and the
+// last one either met one (budget or horizon), ended the block, or — on
+// NeedSlow — left PC on a memory operation the fast probes declined. The
+// stop/resume contract at every boundary, not just at termination.
 func TestExecCompiledLockstepRandomBudgets(t *testing.T) {
 	p := buildProgram(t, richKernel())
 	want, _ := newTestThread(p) // one-step reference
@@ -222,9 +266,17 @@ func TestExecCompiledLockstepRandomBudgets(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 
 	batches, needSlow := 0, 0
+	launched := map[uint64]bool{}
 	for guard := 0; !got.Halted(); guard++ {
 		if guard > 1_000_000 {
 			t.Fatal("lockstep run did not terminate")
+		}
+		for k := rng.Intn(3); k > 0 && !got.Halted(); k-- {
+			want.Step()
+			got.Step()
+		}
+		if got.Halted() {
+			break
 		}
 		cb := gps.CompiledAt(got.PC())
 		if cb == nil {
@@ -237,6 +289,7 @@ func TestExecCompiledLockstepRandomBudgets(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			horizon = want.Now() + int64(rng.Intn(40))
 		}
+		launched[cb.Entry()] = true
 		ex := got.ExecCompiled(cb, budget, horizon, nil)
 		if ex.Weight != uint64(ex.N) {
 			t.Fatalf("batch %d: weight %d for %d unweighted instructions", batches, ex.Weight, ex.N)
@@ -276,6 +329,11 @@ func TestExecCompiledLockstepRandomBudgets(t *testing.T) {
 	assertSameState(t, got, want)
 	if batches < 10 || needSlow == 0 {
 		t.Fatalf("%d lockstep batches, %d NeedSlow stops; test is vacuous", batches, needSlow)
+	}
+	for pc := uint64(0x1020); pc <= 0x1080; pc += isa.WordSize {
+		if !launched[pc] {
+			t.Errorf("no batch launched at %#x", pc)
+		}
 	}
 }
 
@@ -538,10 +596,44 @@ func TestCompiledAtCompilesOnFirstUse(t *testing.T) {
 	}
 }
 
+// TestCompiledAtOneChainPerRun pins the lookup's sharing: launches at every
+// instruction of a run that mixes ALU and memory work and ends in a branch
+// all view the one chain compiled at the run head, each covering exactly the
+// instructions from its launch point to the branch.
+func TestCompiledAtOneChainPerRun(t *testing.T) {
+	const base, end = 0x99000, 0x99040
+	seq := []isa.Inst{
+		{Op: isa.LDI, Rd: 1, Imm: 0x4000},                        // 0x99000
+		{Op: isa.ADDI, Rd: 2, Ra: 1, Imm: 8},                     // 0x99008
+		{Op: isa.LD, Rd: 3, Ra: 1, Imm: 0},                       // 0x99010
+		{Op: isa.XOR, Rd: 4, Ra: 3, Rb: 2},                       // 0x99018
+		{Op: isa.SLLI, Rd: 4, Ra: 4, Imm: 2},                     // 0x99020
+		{Op: isa.ST, Ra: 2, Rb: 4, Imm: 0},                       // 0x99028
+		{Op: isa.PREFETCH, Ra: 1, Imm: 64},                       // 0x99030
+		{Op: isa.BNE, Ra: 4, Imm: isa.BranchDisp(0x99038, base)}, // 0x99038
+		{Op: isa.HALT}, // 0x99040
+	}
+	c := NewBlockCache(base)
+	c.SetSource(seq, nil)
+	for pc := uint64(base); pc < end; pc += isa.WordSize {
+		cb := c.CompiledAt(pc)
+		if cb == nil || cb.Entry() != pc || cb.Len() != int((end-pc)/isa.WordSize) {
+			t.Fatalf("CompiledAt(%#x) = %v, want a %d-instruction block", pc, cb, (end-pc)/isa.WordSize)
+		}
+	}
+	if got := c.Stats().Compiles; got != 1 {
+		t.Fatalf("Compiles = %d, want 1 (one chain per run)", got)
+	}
+	if c.CompiledAt(end) != nil {
+		t.Fatal("HALT heads a chain")
+	}
+}
+
 // TestCompiledPrefix pins the truncated-block path the core takes when a
 // block would run past its trace placement: the prefix is its own chain,
-// carries the source weights, and retires exactly its own instructions with
-// Step's state.
+// starts at the launch point (also for a launch inside the run), carries the
+// source weights, and retires exactly its own instructions with Step's
+// state.
 func TestCompiledPrefix(t *testing.T) {
 	seq := []isa.Inst{
 		{Op: isa.LDI, Rd: 1, Imm: 0x4000},    // 0x1000
@@ -575,4 +667,26 @@ func TestCompiledPrefix(t *testing.T) {
 		t.Fatalf("prefix run: %+v, want 3 instructions of weight 1+2+0", ex)
 	}
 	assertSameState(t, th, ref)
+
+	// A prefix of a mid-run launch starts at the launch point, not at the
+	// run head, and carries the weights from there.
+	mid := c.CompiledAt(0x1008)
+	if mid == nil || mid.Len() != 3 {
+		t.Fatalf("mid-run view: %v", mid)
+	}
+	midPre := mid.Prefix(2)
+	if midPre == nil || midPre.Len() != 2 || midPre.Entry() != 0x1008 {
+		t.Fatalf("mid-run prefix chain: %v", midPre)
+	}
+	ref2, _ := newTestThread(p)
+	for i := 0; i < 3; i++ {
+		ref2.Step()
+	}
+	th2, _ := newTestThread(p)
+	th2.Step()
+	ex2 := th2.ExecCompiled(midPre, math.MaxUint64, math.MaxInt64, nil)
+	if ex2.N != 2 || ex2.Weight != 2 || ex2.NeedSlow {
+		t.Fatalf("mid-run prefix run: %+v, want 2 instructions of weight 2+0", ex2)
+	}
+	assertSameState(t, th2, ref2)
 }

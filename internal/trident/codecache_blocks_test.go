@@ -53,7 +53,7 @@ func TestCodeCacheBlockAt(t *testing.T) {
 	if !cb.Matches(src) || src.Weights[2] != 2 {
 		t.Fatalf("code-cache chain must carry the trace weights %v", src.Weights)
 	}
-	// The PREFETCH heads its own (one-instruction) chain; the exit jump
+	// A launch at the PREFETCH sees a one-instruction block; the exit jump
 	// must not head one.
 	if cb := cc.CompiledAt(pl.Start + 3*isa.WordSize); cb == nil || cb.Len() != 1 {
 		t.Fatalf("PREFETCH chain: %v, want a 1-instruction chain", cb)

@@ -26,6 +26,11 @@ go test -race -run 'TestFastPath|TestSentinel|FuzzFastPathDifferential' ./intern
 go test -race -run 'TestEngineReportIdentity|TestKillResumeDeterminism' ./cmd/tridentsim/
 go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 > /tmp/fast.out
 go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -slowpath | diff /tmp/fast.out -
+# The same contract at full scale, where the fast path launches compiled
+# chains mid-block (after stops at loads, horizons and hooks) millions of
+# times; the small-scale smokes above rarely resume inside a block.
+go run ./cmd/experiments -fig fig5 -instrs 1000000 > /tmp/fig5fast.out
+go run ./cmd/experiments -fig fig5 -instrs 1000000 -slowpath | diff /tmp/fig5fast.out -
 # Golden-trace conformance, twice in one process: -count=2 re-runs every
 # workload against the checked-in streams, so a run that mutates shared
 # state (and would only diverge on the second pass) still fails.
