@@ -37,7 +37,7 @@ func buildKernel() *tridentsp.Program {
 	b.Halt()
 	p := b.MustBuild()
 	for off := uint64(0); off < size; off += 64 {
-		p.Data[arr+off] = off
+		p.SetWord(arr+off, off)
 	}
 	return p
 }

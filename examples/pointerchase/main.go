@@ -47,8 +47,8 @@ func buildChase(nodes int, nodeSize int64) *tridentsp.Program {
 		if i == nodes-1 {
 			next = arena
 		}
-		p.Data[node] = next
-		p.Data[node+8] = uint64(i)
+		p.SetWord(node, next)
+		p.SetWord(node+8, uint64(i))
 	}
 	return p
 }

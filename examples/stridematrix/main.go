@@ -56,9 +56,9 @@ func buildSweep() *tridentsp.Program {
 		return seed
 	}
 	for off := uint64(0); off < size; off += elemSize {
-		p.Data[m+off] = next()
-		p.Data[m+off+8] = props + (next()%(propBytes/64))*64
-		p.Data[m+off+128] = next()
+		p.SetWord(m+off, next())
+		p.SetWord(m+off+8, props+(next()%(propBytes/64))*64)
+		p.SetWord(m+off+128, next())
 	}
 	return p
 }

@@ -46,7 +46,7 @@ func Assemble(name, src string) (*program.Program, error) {
 		codeBase: 0x1000,
 		dataBase: 0x100000,
 		symbols:  map[string]uint64{},
-		data:     map[uint64]uint64{},
+		prog:     &program.Program{Name: name},
 	}
 	lines := strings.Split(src, "\n")
 
@@ -70,13 +70,9 @@ func Assemble(name, src string) (*program.Program, error) {
 		}
 		code[i] = w
 	}
-	return &program.Program{
-		Base:  a.codeBase,
-		Code:  code,
-		Entry: a.codeBase,
-		Data:  a.data,
-		Name:  name,
-	}, nil
+	p := a.prog
+	p.Base, p.Code, p.Entry = a.codeBase, code, a.codeBase
+	return p, nil
 }
 
 // MustAssemble panics on assembly errors (for static example text).
@@ -96,7 +92,7 @@ type assembler struct {
 	insts    []isa.Inst
 	lineOf   []int
 	symbols  map[string]uint64
-	data     map[uint64]uint64
+	prog     *program.Program // seeded by .word in the final pass
 	sawCode  bool
 }
 
@@ -224,7 +220,7 @@ func (a *assembler) directive(op, rest string, ln int, final bool) error {
 					return err
 				}
 				if final && v != 0 {
-					a.data[addr+uint64(i)*8] = v
+					a.prog.SetWord(addr+uint64(i)*8, v)
 				}
 			}
 		}

@@ -279,7 +279,7 @@ func flipPhaseWorkload() *program.Program {
 	b.CondBr(isa.BNE, 6, "outer")
 	b.Halt()
 	p := b.MustBuild()
-	p.Data[flag] = 1
+	p.SetWord(flag, 1)
 	return p
 }
 

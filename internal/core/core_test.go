@@ -35,7 +35,7 @@ func strideWorkload(n int, stride int64, pad int) *program.Program {
 	b.Halt()
 	p := b.MustBuild()
 	for i := 0; i < n; i++ {
-		p.Data[arr+uint64(int64(i)*stride)] = uint64(i + 1)
+		p.SetWord(arr+uint64(int64(i)*stride), uint64(i+1))
 	}
 	return p
 }
@@ -174,7 +174,7 @@ func TestArchitecturalTransparency(t *testing.T) {
 		b.Halt()
 		p := b.MustBuild()
 		for i := 0; i < 2048; i++ {
-			p.Data[arr+uint64(i*64)] = uint64(i)*2718281 + 7
+			p.SetWord(arr+uint64(i*64), uint64(i)*2718281+7)
 		}
 		return p
 	}

@@ -22,8 +22,7 @@ func buildProgram(t *testing.T, insts []isa.Inst) *program.Program {
 		code[i] = w
 	}
 	return &program.Program{
-		Base: 0x1000, Code: code, Entry: 0x1000,
-		Data: map[uint64]uint64{}, Name: "blocks-test",
+		Base: 0x1000, Code: code, Entry: 0x1000, Name: "blocks-test",
 	}
 }
 

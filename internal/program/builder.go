@@ -9,7 +9,9 @@ import (
 // Builder constructs Programs programmatically. It provides labels with
 // forward references, convenience emitters for common instruction forms, and
 // a bump allocator for initialized data. The workload generators and the
-// examples use it as the public construction API.
+// examples use it as the public construction API. Build seeds the words set
+// here into the program's data image; generators that write bulk data after
+// Build call the Program's SetWord directly.
 type Builder struct {
 	base    uint64
 	name    string
@@ -158,17 +160,11 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		code[i] = w
 	}
-	data := make(map[uint64]uint64, len(b.data))
+	p := &Program{Base: b.base, Code: code, Entry: b.base, Name: b.name}
 	for a, v := range b.data {
-		data[a] = v
+		p.SetWord(a, v)
 	}
-	return &Program{
-		Base:  b.base,
-		Code:  code,
-		Entry: b.base,
-		Data:  data,
-		Name:  b.name,
-	}, nil
+	return p, nil
 }
 
 // MustBuild is Build that panics on error; intended for static workload

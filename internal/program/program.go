@@ -1,5 +1,5 @@
 // Package program represents executable images for the simulator: an
-// encoded code segment, an initial sparse data memory, and an entry point.
+// encoded code segment, an initial paged data image, and an entry point.
 //
 // A Program corresponds to what the paper calls the "original binary". The
 // simulator keeps a pristine copy of the code for hot-trace formation while
@@ -13,7 +13,8 @@ import (
 	"tridentsp/internal/isa"
 )
 
-// Program is a loadable executable image.
+// Program is a loadable executable image: code, an entry point, and one
+// paged initial data image, seeded by SetWord and frozen once shared.
 type Program struct {
 	// Base is the address of the first instruction.
 	Base uint64
@@ -21,8 +22,6 @@ type Program struct {
 	Code []uint64
 	// Entry is the initial PC.
 	Entry uint64
-	// Data is the initial data memory contents, 8-byte aligned words.
-	Data map[uint64]uint64
 	// Name identifies the program in stats output.
 	Name string
 
@@ -31,13 +30,11 @@ type Program struct {
 	// mutated, and the cache must never go stale.
 	insts []isa.Inst
 
-	// memImage is the paged form of Data, built lazily by NewMemory and
-	// shared with clones (every simulator run deep-copies pages from it,
-	// which is far cheaper than re-walking the Data map). memImageLen is
-	// len(Data) at build time; NewMemory rebuilds when it no longer
-	// matches, so entries added after a build are never silently dropped.
-	memImage    *Memory
-	memImageLen int
+	// image is the program's only copy of its initial data: SetWord seeds
+	// it and every run's Memory is a copy-on-write clone of it. frozen is
+	// set once it is shared (see share).
+	image  *Memory
+	frozen bool
 
 	// master points at the immutable, predecoded program this one was
 	// cloned from (nil when the source had not been predecoded at clone
@@ -46,6 +43,19 @@ type Program struct {
 	// of concurrent runs; Pristine exploits that to hand every System the
 	// same pristine image instead of a per-run deep copy.
 	master *Program
+}
+
+// SetWord seeds the initial data word containing addr. It panics once the
+// image has been shared (by Clone, ClonePristine, Prebuild, NewMemory or
+// Image): runs may already hold it.
+func (p *Program) SetWord(addr, val uint64) {
+	if p.frozen {
+		panic(fmt.Sprintf("program: SetWord(%#x) on %q after its image was shared", addr, p.Name))
+	}
+	if p.image == nil {
+		p.image = &Memory{}
+	}
+	p.image.Store(addr, val)
 }
 
 // CodeEnd returns the first address past the code segment.
@@ -99,35 +109,21 @@ func (p *Program) WordAt(pc uint64) (uint64, bool) {
 }
 
 // Clone returns a run-ready copy of the program: Code is deep-copied (the
-// simulator patches the live image in place), while Data and the paged
-// memory image are shared with the source. Clones exist to be run, and a run
-// never writes Data — it builds its memory as a copy-on-write view of the
-// shared image — so cloning the map (once the single largest cost of
-// starting a run) bought nothing. Callers that seed extra Data entries must
-// do so on the source before cloning; the length check in NewMemory catches
-// entries added afterwards, silent in-place overwrites are not tracked.
+// simulator patches the live image in place), while the data image is
+// shared with the source — a run builds its memory as a copy-on-write view
+// of it. Sharing freezes the image on both sides, so seed before cloning.
 func (p *Program) Clone() *Program {
-	c := &Program{Base: p.Base, Entry: p.Entry, Name: p.Name, Data: p.Data,
-		master: p.masterRef()}
+	c := &Program{Base: p.Base, Entry: p.Entry, Name: p.Name,
+		image: p.share(), frozen: true, master: p.masterRef()}
 	c.Code = append([]uint64(nil), p.Code...)
-	if c.Data == nil {
-		c.Data = map[uint64]uint64{}
-	}
-	c.memImage, c.memImageLen = p.ensureMemImage(), len(p.Data)
 	return c
 }
 
 // ClonePristine returns the cheap clone the simulator keeps as its pristine
 // code image alongside the live, patched one: Code is deep-copied (patching
-// must not reach the pristine copy), while Data — which the simulator never
-// mutates — and the built memory image are shared with the source.
-func (p *Program) ClonePristine() *Program {
-	c := &Program{Base: p.Base, Entry: p.Entry, Name: p.Name, Data: p.Data,
-		master: p.masterRef()}
-	c.Code = append([]uint64(nil), p.Code...)
-	c.memImage, c.memImageLen = p.ensureMemImage(), len(p.Data)
-	return c
-}
+// must not reach the pristine copy), while the data image — which the
+// simulator never mutates — is shared with the source.
+func (p *Program) ClonePristine() *Program { return p.Clone() }
 
 // masterRef resolves the immutable ancestor a clone should remember: the
 // source's own master when it has one, or the source itself when it has been
@@ -159,11 +155,11 @@ func (p *Program) Pristine() *Program {
 	return p.ClonePristine()
 }
 
-// Image returns the program's cached paged memory image (built on first
-// use). The image is shared and immutable once built: it is the
-// copy-on-write base every run's Memory clones from, and the base the
-// diff-encoded region-of-interest checkpoints compare against.
-func (p *Program) Image() *Memory { return p.ensureMemImage() }
+// Image returns the program's paged data image, freezing it. The image is
+// shared and immutable from then on: it is the copy-on-write base every
+// run's Memory clones from, and the base the diff-encoded
+// region-of-interest checkpoints compare against.
+func (p *Program) Image() *Memory { return p.share() }
 
 // Listing disassembles the whole code segment, one instruction per line.
 func (p *Program) Listing() []string {
@@ -217,39 +213,38 @@ type memPage struct {
 	valid [memPageWords / 64]uint64
 	// owner is the Memory that may write this page. Clones share page
 	// pointers (copy-on-write); a Store through a Memory that does not own
-	// the page copies it first. The cached master image is never written
-	// after it is built, so sharing its pages across concurrently-cloned
-	// runs is race-free.
+	// the page copies it first. A program's image is frozen before its
+	// first clone (see Program.share), so sharing its pages across
+	// concurrently-cloned runs is race-free.
 	owner *Memory
 }
 
-// NewMemory creates a memory initialized from the program's data image. The
-// paged image is built once per program (or whenever Data has grown since)
-// and cached; each call returns an independent deep copy of it.
+// NewMemory creates a memory initialized from the program's data image: a
+// copy-on-write clone of the (now frozen) image.
 func NewMemory(p *Program) *Memory {
-	return p.ensureMemImage().clone()
+	return p.share().clone()
 }
 
-// Prebuild forces the lazy caches (predecoded instructions and the paged
-// memory image). A program shared as an immutable master — cloned
+// Prebuild forces the lazy caches (predecoded instructions and the frozen
+// data image). A program shared as an immutable master — cloned
 // concurrently by a harness worker pool — must be prebuilt before it is
 // published, so the clones only ever read it.
 func (p *Program) Prebuild() {
 	p.Predecode()
-	p.ensureMemImage()
+	p.share()
 }
 
-// ensureMemImage builds (or rebuilds, when Data has grown) the cached paged
-// form of Data.
-func (p *Program) ensureMemImage() *Memory {
-	if p.memImage == nil || p.memImageLen != len(p.Data) {
-		m := &Memory{}
-		for a, v := range p.Data {
-			m.Store(a, v)
-		}
-		p.memImage, p.memImageLen = m, len(p.Data)
+// share freezes the data image and returns it (an empty one when nothing
+// was seeded). On a prebuilt master it only reads, so concurrent clones
+// never race.
+func (p *Program) share() *Memory {
+	if p.image == nil {
+		p.image = &Memory{}
 	}
-	return p.memImage
+	if !p.frozen {
+		p.frozen = true
+	}
+	return p.image
 }
 
 // clone returns a copy-on-write clone: the page table is copied but the
@@ -282,7 +277,9 @@ func (m *Memory) page(w uint64) *memPage {
 }
 
 // setPage installs pg as the page at idx, growing the dense table or
-// spilling to the high map as the index demands.
+// spilling to the high map as the index demands. Growth reslices within
+// capacity: images are seeded in ascending order, so a table per page is
+// quadratic.
 func (m *Memory) setPage(idx uint64, pg *memPage) {
 	if idx >= denseLimit {
 		if m.high == nil {
@@ -292,16 +289,20 @@ func (m *Memory) setPage(idx uint64, pg *memPage) {
 		return
 	}
 	if idx >= uint64(len(m.tab)) {
-		capHint := idx + 1
-		if c := 2 * uint64(cap(m.tab)); c > capHint {
-			capHint = c
+		if idx >= uint64(cap(m.tab)) {
+			capHint := idx + 1
+			if c := 2 * uint64(cap(m.tab)); c > capHint {
+				capHint = c
+			}
+			if capHint > denseLimit {
+				capHint = denseLimit
+			}
+			nt := make([]*memPage, len(m.tab), capHint)
+			copy(nt, m.tab)
+			m.tab = nt
 		}
-		if capHint > denseLimit {
-			capHint = denseLimit
-		}
-		nt := make([]*memPage, idx+1, capHint)
-		copy(nt, m.tab)
-		m.tab = nt
+		// Entries past len are nil: the table never shrinks.
+		m.tab = m.tab[:idx+1]
 	}
 	m.tab[idx] = pg
 }

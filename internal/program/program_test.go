@@ -149,7 +149,7 @@ func TestAllocAlignmentAndWords(t *testing.T) {
 }
 
 func TestMemoryLoadStoreAligned(t *testing.T) {
-	m := NewMemory(&Program{Data: map[uint64]uint64{}})
+	m := NewMemory(&Program{})
 	m.Store(0x1000, 42)
 	if m.Load(0x1000) != 42 {
 		t.Fatal("load after store")
@@ -171,7 +171,7 @@ func TestMemoryLoadStoreAligned(t *testing.T) {
 }
 
 func TestMemorySnapshotSorted(t *testing.T) {
-	m := NewMemory(&Program{Data: map[uint64]uint64{}})
+	m := NewMemory(&Program{})
 	m.Store(0x3000, 3)
 	m.Store(0x1000, 1)
 	m.Store(0x2000, 2)
@@ -199,10 +199,10 @@ func TestCloneContract(t *testing.T) {
 	if isa.Decode(p.Code[0]).Op != isa.NOP {
 		t.Error("Clone shares code")
 	}
-	// Data is shared: runs read it only (memory is a copy-on-write view of
-	// the paged image), and cloning the map dominated run startup.
-	if &c.Data == &p.Data && c.Data[a] != 5 {
-		t.Error("clone lost data")
+	// The data image is shared: runs read it only (their memory is a
+	// copy-on-write view of it).
+	if c.Image() != p.Image() || c.Image().Load(a) != 5 {
+		t.Error("clone does not share the data image")
 	}
 	// The clone's run memory is still fully independent of the source's.
 	m1, m2 := NewMemory(p), NewMemory(c)
@@ -243,4 +243,60 @@ func TestListing(t *testing.T) {
 	if !strings.Contains(lst[0], "ld r1, 8(r2)") {
 		t.Errorf("listing[0] = %q", lst[0])
 	}
+}
+
+func TestStoreAscendingPagesReusesTable(t *testing.T) {
+	// A program image is seeded in ascending address order; the dense page
+	// table must grow by doubling, not by a fresh table per new page.
+	const n = 4096
+	allocs := testing.AllocsPerRun(3, func() {
+		m := &Memory{}
+		for i := uint64(0); i < n; i++ {
+			m.Store(i<<(memPageShift+3), i)
+		}
+	})
+	// One allocation per page, plus the table doublings and the Memory.
+	if limit := float64(n + 2*12); allocs > limit {
+		t.Fatalf("%v allocations storing %d ascending pages, want <= %v", allocs, n, limit)
+	}
+}
+
+func TestSetWordPanicsAfterShare(t *testing.T) {
+	// Every way of sharing the image freezes it: SetWord panics and the
+	// image keeps its seeded word.
+	for name, share := range map[string]func(p *Program){
+		"Clone":     func(p *Program) { p.Clone() },
+		"Prebuild":  func(p *Program) { p.Prebuild() },
+		"NewMemory": func(p *Program) { NewMemory(p) },
+		"Image":     func(p *Program) { p.Image() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := &Program{Name: "seed"}
+			p.SetWord(0x10000, 1)
+			share(p)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("SetWord after sharing the image did not panic")
+				}
+				if got := p.Image().Load(0x10000); got != 1 {
+					t.Fatalf("frozen image changed: word = %d, want 1", got)
+				}
+			}()
+			p.SetWord(0x10000, 2)
+		})
+	}
+}
+
+func TestCloneIsFrozen(t *testing.T) {
+	// A clone shares its source's image, so seeding through it would
+	// change the source's memory too.
+	p := &Program{Name: "seed"}
+	p.SetWord(0x10000, 1)
+	c := p.Clone()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetWord on a clone did not panic")
+		}
+	}()
+	c.SetWord(0x10000, 2)
 }

@@ -22,9 +22,9 @@ func diffProgram(t *testing.T) *Program {
 	b.AllocWords(1, 2, 3)
 	p := b.MustBuild()
 	// Spread data across distinct pages (page = 512 words = 4KB).
-	p.Data[0x10000] = 10
-	p.Data[0x20000] = 20
-	p.Data[0x30000] = 30
+	p.SetWord(0x10000, 10)
+	p.SetWord(0x20000, 20)
+	p.SetWord(0x30000, 30)
 	return p
 }
 
@@ -114,7 +114,7 @@ func TestSaveStateDiffDeletedPages(t *testing.T) {
 	base := p.Image()
 	// Build a memory whose page set lacks the base pages: LoadState replaces
 	// the page set wholesale with a small donor's.
-	donor := NewMemory(&Program{Data: map[uint64]uint64{}})
+	donor := NewMemory(&Program{})
 	donor.Store(0x10000, 77)
 	e := checkpoint.NewEncoder()
 	donor.SaveState(e)

@@ -193,7 +193,7 @@ func Equake(s Scale) *program.Program {
 	pr := b.MustBuild()
 	r := newRand(0xea0e)
 	for off := uint64(0); off < valBytes; off += 8 {
-		pr.Data[idx+off] = (r.next() % (vecBytes / 8)) * 8
+		pr.SetWord(idx+off, (r.next()%(vecBytes/8))*8)
 	}
 	seedEvery(pr, vals, valBytes, 64)
 	seedEvery(pr, x, vecBytes, 64)
@@ -262,9 +262,9 @@ func Fma3d(s Scale) *program.Program {
 	pr := b.MustBuild()
 	r := newRand(0xf3a)
 	for off := uint64(0); off < size; off += 256 {
-		pr.Data[elems+off] = r.next()
-		pr.Data[elems+off+16] = mats + (r.next()%(matBytes/64))*64
-		pr.Data[elems+off+128] = r.next()
+		pr.SetWord(elems+off, r.next())
+		pr.SetWord(elems+off+16, mats+(r.next()%(matBytes/64))*64)
+		pr.SetWord(elems+off+128, r.next())
 	}
 	seedEvery(pr, mats, matBytes, 64)
 	return pr

@@ -12,6 +12,8 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Formatting gate for both modules (gofmt -l lists files that need it).
+test -z "$(gofmt -l . perfbench)"
 # The no-shared-state rule the parallel harness relies on, checked first for
 # fast failure, then the full suite.
 go test -race -run TestConcurrentSystemsShareNothing ./internal/core/
