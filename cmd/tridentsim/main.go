@@ -201,6 +201,10 @@ func main() {
 	if *sentEvery == 0 && *sentinel {
 		*sentEvery = 200_000
 	}
+	if *sentEvery == 0 && flagWasSet("sentinel-window") {
+		fmt.Fprintf(os.Stderr, "-sentinel-window requires -sentinel or -sentinel-every\n")
+		os.Exit(2)
+	}
 	if *sentEvery > 0 {
 		w := *sentWindow
 		if w == 0 {

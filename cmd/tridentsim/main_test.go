@@ -142,6 +142,18 @@ func TestArsenalFlagValidation(t *testing.T) {
 	}
 }
 
+// TestSentinelWindowRequiresSentinel: a window length without a cadence
+// would leave the sentinel unarmed, so it is a usage error naming the flag.
+func TestSentinelWindowRequiresSentinel(t *testing.T) {
+	_, stderr, code := tridentsim(t, "-bench", "mcf", "-scale", "test", "-sentinel-window", "5")
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "-sentinel-window") {
+		t.Fatalf("stderr does not name the offending flag:\n%s", stderr)
+	}
+}
+
 func TestSampleFlagValidation(t *testing.T) {
 	cases := map[string][]string{
 		"shaping-without-sample": {"-sample-interval", "500000"},

@@ -7,7 +7,6 @@ import (
 	"tridentsp/internal/isa"
 	"tridentsp/internal/memsys"
 	"tridentsp/internal/telemetry"
-	"tridentsp/internal/trident"
 )
 
 // This file implements the first level of the simulator's fast path: the
@@ -23,10 +22,11 @@ import (
 // Since the superblock engine, batches carry memory operations and loop
 // back-edges too. The core-side monitoring the slow path performs per
 // instruction (DLT/VPT updates for in-trace loads, branch profiling in
-// original code, traversal timing at trace loop-backs) is mirrored into the
-// batch through cpu.SBHooks, each hook a verbatim transliteration of the
-// corresponding step() clause. The remaining slow-path set is exactly the
-// event-visible instructions: loads the L1-hit probe declines (misses,
+// original code, traversal timing at trace loop-backs) reaches the batch
+// through cpu.SBHooks bound to step()'s own clauses (monitorLoad,
+// profileBranch, recordTraversal), so each rule exists once; batch ends run
+// step()'s own post-commit helpers. The remaining slow-path set is exactly
+// the event-visible instructions: loads the L1-hit probe declines (misses,
 // partial hits, MSHR pressure), FDIV, jumps, trace entries and exits,
 // patched words, and any instruction whose monitoring raised a helper event
 // (the batch stops so the pump dispatches at the same cycle the slow path
@@ -185,14 +185,10 @@ loop:
 		}
 		now := t.Now()
 
-		// Batch-end processing: the same due-checks step() runs after every
-		// instruction, in the same order. Each is a no-op unless its event
-		// actually came due at this boundary.
-		if s.chaosRun != nil && now >= s.chaosRun.NextAt() {
-			for _, ed := range s.chaosRun.Due(now) {
-				s.applyChaosEdge(ed)
-			}
-		}
+		// Batch-end processing: step()'s own post-commit helpers, in
+		// step()'s order. Each is a no-op unless its event actually came due
+		// at this boundary.
+		s.deliverChaos(now)
 		s.origInstrs += ex.Weight
 		if s.faultAt != 0 && s.origInstrs >= s.faultAt {
 			// Injected fast-path corruption (InjectFastPathFault): perturb
@@ -215,32 +211,11 @@ loop:
 		}
 		// Load accounting, deferred from the batch: the slow path counts
 		// these per load, but nothing between the loads and this boundary
-		// reads them (the phase check below is the first reader).
+		// reads them (serviceTrident's phase check is the first reader).
 		s.stats.loadsTotal += uint64(ex.Loads)
 		s.stats.missesTotal += uint64(ex.WouldMiss)
-		// Tier residency (engine-class): attribute the batch's weight and
-		// clock advance to the compiled chains. s.lastNow still holds the
-		// pre-batch cycle here.
-		s.tiers[tierJIT].instrs += ex.Weight
-		if d := now - s.lastNow; d > 0 {
-			s.tiers[tierJIT].cycles += uint64(d)
-		}
-		if s.cfg.Trident {
-			if s.cfg.PhaseClearMature &&
-				s.origInstrs-s.phaseMarkInstrs >= s.cfg.PhaseWindow {
-				s.checkPhase(now)
-			}
-			s.pump(now)
-			busy := s.helper.Busy(now)
-			if busy != s.interfering {
-				s.interfering = busy
-				t.SetInterference(busy)
-			}
-		}
-		s.lastNow = now
-		if s.monitor != nil && now >= s.monitor.NextAt() {
-			s.monitor.Tick(now)
-		}
+		s.serviceTrident(now)
+		s.retire(tierJIT, ex.Weight, now)
 		if ex.NeedSlow || s.origInstrs >= limit {
 			if s.origInstrs >= limit {
 				exit = telemetry.FPLimit
@@ -259,31 +234,24 @@ loop:
 }
 
 // initSBHooks binds the batch-observation hooks once at construction (the
-// method values allocate).
+// method values allocate). Each hook is step()'s own clause, or a one-line
+// adapter onto it.
 func (s *System) initSBHooks() {
 	s.sbTraceHooks = cpu.SBHooks{
 		Load:     s.sbTraceLoad,
 		LoopBack: s.sbLoopBack,
 	}
 	s.sbOrigHooks = cpu.SBHooks{
-		Branch: s.sbOrigBranch,
+		Branch: s.profileBranch,
 	}
 }
 
-// recordTraversal is trackTraversal's loop-back arm, applied at cycle at:
-// the traversal that just closed ran from traversalStart to at.
-func (s *System) recordTraversal(at int64) {
-	pl := s.sbPl
-	if we, ok := s.watch.ByID(pl.TraceID); ok {
-		we.RecordTraversal(at - s.traversalStart)
-	}
-	s.stats.traceTraversal++
-	s.traversalStart = at
-	if s.cfg.Backout {
-		if a := s.activity[pl.TraceID]; a != nil {
-			a.traversals++
-		}
-	}
+// sbTraceLoad is monitorLoad for a batched in-trace load: the batch's
+// placement is sbPl, which the launch guarantees is the one being traversed.
+// A batched load is an L1 hit, so the DLT gets the (miss=false, lat=0)
+// sample the slow path would feed it for the same access.
+func (s *System) sbTraceLoad(pc, addr, value uint64, res memsys.Result, now int64) bool {
+	return s.monitorLoad(s.sbPl, pc, addr, value, res, now)
 }
 
 // flushHeadRecord issues the traversal record deferred at a head launch.
@@ -295,7 +263,7 @@ func (s *System) flushHeadRecord() {
 		return
 	}
 	s.sbHeadPending = false
-	s.recordTraversal(s.lastNow)
+	s.recordTraversal(s.sbPl, s.lastNow)
 }
 
 // sbLoopBack fires when a batched trace fold is about to re-execute the
@@ -309,79 +277,5 @@ func (s *System) sbLoopBack(now int64) {
 		return
 	}
 	s.flushHeadRecord()
-	s.recordTraversal(now)
-}
-
-// sbTraceLoad is monitorLoad, transliterated for a batched in-trace load.
-// It must stop the batch exactly when a helper event was enqueued: the slow
-// path's pump would dispatch it at this very cycle, so the batch has to end
-// for the batch-end pump to run at the same point. loadsTotal/missesTotal
-// are deliberately not counted here — the batch aggregates them (SBExec) and
-// the boundary processing adds them before any reader runs.
-func (s *System) sbTraceLoad(pc, addr, value uint64, res memsys.Result, now int64) bool {
-	pl := s.sbPl
-	idx := (pc - pl.Start) / isa.WordSize
-	ti := &pl.Trace.Insts[idx]
-	if ti.Inserted || ti.OrigPC == 0 {
-		return false
-	}
-	origPC, headPC := ti.OrigPC, pl.Trace.StartPC
-
-	s.stats.loadsInTrace++
-	stop := false
-	if s.vpt != nil && s.vpt.Update(origPC, value) {
-		ev := trident.Event{Kind: trident.EventInvariantLoad, Raised: now, LoadPC: origPC}
-		ev.Hot.StartPC = headPC
-		if s.queue.Push(ev) {
-			stop = true
-		}
-	}
-	if wouldMiss(res) {
-		s.stats.missesInTrace++
-		if s.opt != nil && s.opt.Covered(headPC, origPC) {
-			s.stats.missesCovered++
-		}
-	}
-	// A fast-path load is never an L1 miss, so the DLT sample is always
-	// (miss=false, lat=0) — identical to what the slow path would feed it
-	// for the same access. The window boundary can still cross the
-	// delinquency threshold on earlier misses, so the event path stays.
-	if !s.table.UpdateAt(origPC, addr, false, 0, now) {
-		return stop
-	}
-	if s.opt == nil {
-		s.table.ClearCounters(origPC)
-		return stop
-	}
-	we, ok := s.watch.ByStart(headPC)
-	if !ok || we.OptFlag {
-		s.table.ClearCounters(origPC)
-		return stop
-	}
-	ev := trident.Event{
-		Kind:    trident.EventDelinquentLoad,
-		Raised:  now,
-		LoadPC:  origPC,
-		TraceID: we.TraceID,
-	}
-	ev.Hot.StartPC = headPC
-	if s.queue.Push(ev) {
-		we.OptFlag = true
-		return true
-	}
-	s.table.ClearCounters(origPC)
-	return stop
-}
-
-// sbOrigBranch is the branch-profiling clause of step(), transliterated for
-// a batched original-code conditional branch. The batch launch guarantees
-// pc is outside the code cache and outside any placement, which is the slow
-// path's profiling precondition. The batch stops when a hot-trace event was
-// enqueued, for the same pump-timing reason as sbTraceLoad.
-func (s *System) sbOrigBranch(pc uint64, in *isa.Inst, taken bool, now int64) bool {
-	target := isa.BranchTarget(pc, *in)
-	if hot, fired := s.prof.OnCondBranch(pc, target, taken); fired {
-		return s.enqueueHot(hot, now)
-	}
-	return false
+	s.recordTraversal(s.sbPl, now)
 }

@@ -95,6 +95,13 @@ func (s *System) exitCodeCache() {
 			s.thread.SetPC(mapTracePC(pl, pc))
 		}
 	}
+	s.leaveTraces()
+}
+
+// leaveTraces clears the trace-execution loop state (the placement being
+// traversed and the fast path's batch view of it), so the next detailed
+// step re-resolves its placement from scratch.
+func (s *System) leaveTraces() {
 	s.curPl = nil
 	s.inTraversal = false
 	s.sbPl = nil
@@ -161,10 +168,6 @@ func (s *System) RestoreROI(blob []byte) error {
 		return fmt.Errorf("core: ROI checkpoint at %d instructions is behind this run's detailed progress %d", at, s.origInstrs)
 	}
 	s.ffwdInstrs = at - s.origInstrs
-	s.curPl = nil
-	s.inTraversal = false
-	s.sbPl = nil
-	s.sbEntry = 0
-	s.sbHeadPending = false
+	s.leaveTraces()
 	return nil
 }

@@ -304,21 +304,7 @@ func (s *System) HWPref() *hwpref.Selector { return s.hwp }
 // later call with a higher limit continues the same machine.
 func (s *System) Run(limit uint64) Results {
 	s.syncShadowInit()
-	if s.cfg.LivelockWindow == 0 {
-		// No livelock detection: skip the per-step progress bookkeeping
-		// entirely.
-		for s.origInstrs < limit && !s.thread.Halted() && s.aborted == "" {
-			s.sentinelTick()
-			s.fastForward(limit)
-			if s.origInstrs >= limit || s.thread.Halted() {
-				break
-			}
-			s.step()
-		}
-		return s.results()
-	}
-	lastInstrs := s.origInstrs
-	lastProgress := s.thread.Now()
+	lastInstrs, lastProgress := s.origInstrs, s.thread.Now()
 	for s.origInstrs < limit && !s.thread.Halted() && s.aborted == "" {
 		s.sentinelTick()
 		// Fast-path batches always retire original instructions or stop at
@@ -326,17 +312,15 @@ func (s *System) Run(limit uint64) Results {
 		// progress checkpoints just like the slow steps below.
 		s.fastForward(limit)
 		if s.origInstrs != lastInstrs {
-			lastInstrs = s.origInstrs
-			lastProgress = s.thread.Now()
+			lastInstrs, lastProgress = s.origInstrs, s.thread.Now()
 		}
 		if s.origInstrs >= limit || s.thread.Halted() {
 			break
 		}
 		s.step()
 		if s.origInstrs != lastInstrs {
-			lastInstrs = s.origInstrs
-			lastProgress = s.thread.Now()
-		} else if s.thread.Now()-lastProgress >= s.cfg.LivelockWindow {
+			lastInstrs, lastProgress = s.origInstrs, s.thread.Now()
+		} else if w := s.cfg.LivelockWindow; w > 0 && s.thread.Now()-lastProgress >= w {
 			s.aborted = fmt.Sprintf(
 				"livelock: no original-instruction progress for %d cycles (pc=%#x, cycle=%d)",
 				s.thread.Now()-lastProgress, s.thread.PC(), s.thread.Now())
@@ -345,7 +329,10 @@ func (s *System) Run(limit uint64) Results {
 	return s.results()
 }
 
-// step advances the machine by one committed instruction.
+// step advances the machine by one committed instruction. Its monitoring
+// clauses (monitorLoad, profileBranch, recordTraversal) and its post-commit
+// processing (deliverChaos, serviceTrident, retire) are the same functions
+// the fast path calls per batched instruction and per batch boundary.
 func (s *System) step() {
 	info := s.thread.Step()
 	if info.Halted {
@@ -355,12 +342,7 @@ func (s *System) step() {
 	now := info.Now
 	instrsBefore := s.origInstrs
 
-	// Fault injection: apply every chaos edge that has come due.
-	if s.chaosRun != nil && now >= s.chaosRun.NextAt() {
-		for _, ed := range s.chaosRun.Due(now) {
-			s.applyChaosEdge(ed)
-		}
-	}
+	s.deliverChaos(now)
 
 	// Placement tracking: which hot trace (if any) is executing. The
 	// containment probe is resolved once and reused by the branch-profiling
@@ -400,20 +382,16 @@ func (s *System) step() {
 			s.stats.missesTotal++
 		}
 		if s.cfg.Trident {
-			s.monitorLoad(pl, pc, info)
+			s.monitorLoad(pl, pc, info.LoadAddr, info.LoadValue, info.LoadRes, now)
 		}
 	}
 
 	// Branch profiling (original code only: in-trace loop branches target
 	// the code cache and must not seed new traces).
-	if s.cfg.Trident && pl == nil && !inCache {
+	if s.cfg.Trident && !inCache {
 		switch info.Branch {
 		case cpu.BranchTaken, cpu.BranchNotTaken:
-			taken := info.Branch == cpu.BranchTaken
-			target := isa.BranchTarget(pc, info.Inst)
-			if hot, fired := s.prof.OnCondBranch(pc, target, taken); fired {
-				s.enqueueHot(hot, now)
-			}
+			s.profileBranch(pc, &info.Inst, info.Branch == cpu.BranchTaken, now)
 		case cpu.BranchJump:
 			if info.Inst.Op == isa.BR {
 				s.prof.OnJump(pc, isa.BranchTarget(pc, info.Inst))
@@ -421,30 +399,48 @@ func (s *System) step() {
 		}
 	}
 
-	// Phase detection: a shifted miss rate re-arms matured loads.
-	if s.cfg.Trident && s.cfg.PhaseClearMature &&
-		s.origInstrs-s.phaseMarkInstrs >= s.cfg.PhaseWindow {
-		s.checkPhase(now)
-	}
+	s.serviceTrident(now)
+	s.curPl = pl
+	s.retire(tierSlow, s.origInstrs-instrsBefore, now)
+}
 
-	// Helper thread: apply finished optimizations, start new ones.
-	if s.cfg.Trident {
-		s.pump(now)
-		busy := s.helper.Busy(now)
-		if busy != s.interfering {
-			s.interfering = busy
-			s.thread.SetInterference(busy)
+// deliverChaos applies every chaos edge that has come due by cycle now
+// (fault injection; a no-op without a chaos schedule).
+func (s *System) deliverChaos(now int64) {
+	if s.chaosRun != nil && now >= s.chaosRun.NextAt() {
+		for _, ed := range s.chaosRun.Due(now) {
+			s.applyChaosEdge(ed)
 		}
 	}
+}
 
-	s.tiers[tierSlow].instrs += s.origInstrs - instrsBefore
-	if d := now - s.lastNow; d > 0 {
-		s.tiers[tierSlow].cycles += uint64(d)
+// serviceTrident runs the framework's post-commit machinery at cycle now:
+// phase detection (a shifted miss rate re-arms matured loads), then the
+// helper thread (apply finished optimizations, start new ones) and the
+// interference tax it puts on the main thread.
+func (s *System) serviceTrident(now int64) {
+	if !s.cfg.Trident {
+		return
 	}
-	s.curPl = pl
-	s.lastNow = now
+	if s.cfg.PhaseClearMature && s.origInstrs-s.phaseMarkInstrs >= s.cfg.PhaseWindow {
+		s.checkPhase(now)
+	}
+	s.pump(now)
+	if busy := s.helper.Busy(now); busy != s.interfering {
+		s.interfering = busy
+		s.thread.SetInterference(busy)
+	}
+}
 
-	// Invariant watchdog probe (chaotic runs only).
+// retire closes one commit boundary at cycle now: weight original
+// instructions and the clock advance since the last boundary go to tier's
+// residency, and the invariant watchdog probes when due (chaotic runs only).
+func (s *System) retire(tier int, weight uint64, now int64) {
+	s.tiers[tier].instrs += weight
+	if d := now - s.lastNow; d > 0 {
+		s.tiers[tier].cycles += uint64(d)
+	}
+	s.lastNow = now
 	if s.monitor != nil && now >= s.monitor.NextAt() {
 		s.monitor.Tick(now)
 	}
@@ -513,15 +509,21 @@ func (s *System) trackTraversal(pl *trident.Placement, pc uint64, now int64) {
 		}
 	case pc == pl.Start && s.inTraversal:
 		// Loop-back: one full traversal.
-		if we, ok := s.watch.ByID(pl.TraceID); ok {
-			we.RecordTraversal(s.lastNow - s.traversalStart)
-		}
-		s.stats.traceTraversal++
-		s.traversalStart = s.lastNow
-		if s.cfg.Backout {
-			if a := s.activity[pl.TraceID]; a != nil {
-				a.traversals++
-			}
+		s.recordTraversal(pl, s.lastNow)
+	}
+}
+
+// recordTraversal is trackTraversal's loop-back arm, applied at cycle at:
+// the traversal of pl that just closed ran from traversalStart to at.
+func (s *System) recordTraversal(pl *trident.Placement, at int64) {
+	if we, ok := s.watch.ByID(pl.TraceID); ok {
+		we.RecordTraversal(at - s.traversalStart)
+	}
+	s.stats.traceTraversal++
+	s.traversalStart = at
+	if s.cfg.Backout {
+		if a := s.activity[pl.TraceID]; a != nil {
+			a.traversals++
 		}
 	}
 }
@@ -598,42 +600,48 @@ func (s *System) backOut(pl *trident.Placement, now int64) {
 // raises delinquent-load events. In the link-disabled overhead experiment
 // no trace ever executes, so — exactly as in the paper's §5.1 setup — the
 // DLT stays silent and only trace-formation events occupy the helper.
-func (s *System) monitorLoad(pl *trident.Placement, pc uint64, info cpu.StepInfo) {
+//
+// It reports whether a helper event was enqueued. step() ignores that; the
+// fast path's Load hook ends its batch on it, because the slow path's pump
+// would dispatch the event at this very cycle. loadsTotal/missesTotal are
+// counted by the callers (the fast path aggregates them per batch).
+func (s *System) monitorLoad(pl *trident.Placement, pc, addr, value uint64, res memsys.Result, now int64) bool {
 	if pl == nil {
-		return
+		return false
 	}
 	idx := (pc - pl.Start) / isa.WordSize
 	ti := &pl.Trace.Insts[idx]
 	if ti.Inserted || ti.OrigPC == 0 {
-		return
+		return false
 	}
 	origPC, headPC := ti.OrigPC, pl.Trace.StartPC
 
 	s.stats.loadsInTrace++
-	if s.vpt != nil && s.vpt.Update(origPC, info.LoadValue) {
-		ev := trident.Event{Kind: trident.EventInvariantLoad, Raised: info.Now, LoadPC: origPC}
+	raised := false
+	if s.vpt != nil && s.vpt.Update(origPC, value) {
+		ev := trident.Event{Kind: trident.EventInvariantLoad, Raised: now, LoadPC: origPC}
 		ev.Hot.StartPC = headPC
-		s.queue.Push(ev)
+		raised = s.queue.Push(ev)
 	}
-	if wouldMiss(info.LoadRes) {
+	if wouldMiss(res) {
 		s.stats.missesInTrace++
 		if s.opt != nil && s.opt.Covered(headPC, origPC) {
 			s.stats.missesCovered++
 		}
 	}
-	miss := info.LoadRes.L1Miss
+	miss := res.L1Miss
 	var missLat int64
 	if miss {
-		missLat = info.LoadRes.Latency
+		missLat = res.Latency
 	}
-	if !s.table.UpdateAt(origPC, info.LoadAddr, miss, missLat, info.Now) {
-		return
+	if !s.table.UpdateAt(origPC, addr, miss, missLat, now) {
+		return raised
 	}
 	// Delinquent-load event. Suppressed while the trace is already being
 	// re-optimized (§3.2's watch-table optimization flag).
 	if s.opt == nil {
 		s.table.ClearCounters(origPC)
-		return
+		return raised
 	}
 	we, ok := s.watch.ByStart(headPC)
 	if !ok || we.OptFlag {
@@ -641,20 +649,33 @@ func (s *System) monitorLoad(pl *trident.Placement, pc uint64, info cpu.StepInfo
 		// restart this load's monitoring window, or it would stay frozen
 		// forever and never raise another event.
 		s.table.ClearCounters(origPC)
-		return
+		return raised
 	}
 	ev := trident.Event{
 		Kind:    trident.EventDelinquentLoad,
-		Raised:  info.Now,
+		Raised:  now,
 		LoadPC:  origPC,
 		TraceID: we.TraceID,
 	}
 	ev.Hot.StartPC = headPC
 	if s.queue.Push(ev) {
 		we.OptFlag = true
-	} else {
-		s.table.ClearCounters(origPC)
+		return true
 	}
+	s.table.ClearCounters(origPC)
+	return raised
+}
+
+// profileBranch is step()'s branch-profiling clause for a conditional
+// branch in original code (outside the code cache): it feeds the profiler
+// and raises a hot-trace event when the branch's bitmap fires. It reports
+// whether the event queue changed — the fast path's Branch hook ends its
+// batch on it, for the same pump-timing reason as monitorLoad.
+func (s *System) profileBranch(pc uint64, in *isa.Inst, taken bool, now int64) bool {
+	if hot, fired := s.prof.OnCondBranch(pc, isa.BranchTarget(pc, *in), taken); fired {
+		return s.enqueueHot(hot, now)
+	}
+	return false
 }
 
 // enqueueHot raises a hot-trace event, reporting whether the event queue

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"tridentsp/internal/branchpred"
@@ -9,8 +10,49 @@ import (
 	"tridentsp/internal/program"
 )
 
+// runEach runs p to HALT on every CPU executor and returns the one-step
+// interpreter's final thread after checking the others against it: the
+// functional fast-forward interpreter (ExecFunctional) must leave the same
+// architectural state, and — when compiled is set, i.e. every instruction
+// before the HALTs can join a compiled block — compiled chains
+// (ExecCompiled, with Step retiring only the HALTs) the same complete state.
+func runEach(t *testing.T, p *program.Program, compiled bool) *Thread {
+	t.Helper()
+	ref, _ := newTestThread(p)
+	runRef(ref)
+
+	ff, _ := newTestThread(p)
+	ff.ExecFunctional(p.Decoded(), p.Base, 1<<10, nil)
+	if !ff.Halted() || ff.PC() != ref.PC() {
+		t.Errorf("ExecFunctional: halted=%v pc=%#x, Step halted at %#x", ff.Halted(), ff.PC(), ref.PC())
+	}
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if ff.Reg(r) != ref.Reg(r) {
+			t.Errorf("ExecFunctional: r%d = %#x, Step %#x", r, ff.Reg(r), ref.Reg(r))
+		}
+	}
+
+	if compiled {
+		th, ps := newTestThread(p)
+		for !th.Halted() {
+			if cb := ps.CompiledAt(th.PC()); cb != nil {
+				if ex := th.ExecCompiled(cb, math.MaxUint64, math.MaxInt64, nil); ex.N > 0 {
+					continue
+				}
+			}
+			if in, _ := ps.Fetch(th.PC()); in.Op != isa.HALT {
+				t.Fatalf("ExecCompiled declined %v at %#x", in.Op, th.PC())
+			}
+			th.Step()
+		}
+		assertSameState(t, th, ref)
+	}
+	return ref
+}
+
 // evalOp executes a single register-register instruction over the given
-// inputs and returns the destination value.
+// inputs on every executor that can run it and returns the destination
+// value.
 func evalOp(t *testing.T, op isa.Op, a, b uint64) uint64 {
 	t.Helper()
 	pb := program.NewBuilder("t", 0x1000, 0x100000)
@@ -18,13 +60,7 @@ func evalOp(t *testing.T, op isa.Op, a, b uint64) uint64 {
 	pb.Ldi(2, b)
 	pb.Op(op, 3, 1, 2)
 	pb.Halt()
-	p := pb.MustBuild()
-	th := New(DefaultConfig(), NewProgramSpace(p), p.Entry, program.NewMemory(p),
-		memsys.New(memsys.DefaultConfig()), branchpred.New(branchpred.DefaultConfig()))
-	for !th.Halted() {
-		th.Step()
-	}
-	return th.Reg(3)
+	return runEach(t, pb.MustBuild(), blockMember(op) != memberNo).Reg(3)
 }
 
 // evalOpI is evalOp for register-immediate forms.
@@ -34,13 +70,7 @@ func evalOpI(t *testing.T, op isa.Op, a uint64, imm int64) uint64 {
 	pb.Ldi(1, a)
 	pb.OpI(op, 3, 1, imm)
 	pb.Halt()
-	p := pb.MustBuild()
-	th := New(DefaultConfig(), NewProgramSpace(p), p.Entry, program.NewMemory(p),
-		memsys.New(memsys.DefaultConfig()), branchpred.New(branchpred.DefaultConfig()))
-	for !th.Halted() {
-		th.Step()
-	}
-	return th.Reg(3)
+	return runEach(t, pb.MustBuild(), blockMember(op) != memberNo).Reg(3)
 }
 
 func TestAllRegRegOpSemantics(t *testing.T) {
@@ -59,6 +89,7 @@ func TestAllRegRegOpSemantics(t *testing.T) {
 		{isa.SRL, a >> (b & 63)},
 		{isa.CMPLT, 1}, // a < b signed: a is negative
 		{isa.CMPEQ, 0},
+		{isa.MOVE, a},
 		{isa.FADD, a + b},
 		{isa.FMUL, a * b},
 		{isa.FDIV, a / b},
@@ -88,6 +119,8 @@ func TestAllRegImmOpSemantics(t *testing.T) {
 		{isa.CMPLTI, 0, 1}, // a negative
 		{isa.CMPEQI, 0x1234, 0},
 		{isa.LDA, -8, a - 8},
+		{isa.LDI, -3, ^uint64(2)},
+		{isa.LDIH, 0x7654_3210, 0x1234<<32 | 0x7654_3210},
 	}
 	for _, tc := range cases {
 		if got := evalOpI(t, tc.op, a, tc.imm); got != tc.want {
@@ -119,7 +152,11 @@ func TestFDivByZeroYieldsZero(t *testing.T) {
 	}
 }
 
+// TestBranchDirectionsAllOps resolves every conditional branch on zero,
+// positive and negative values (BLT/BGE compare signed) through every
+// executor.
 func TestBranchDirectionsAllOps(t *testing.T) {
+	const neg1, minInt = ^uint64(0), uint64(1) << 63
 	cases := []struct {
 		op    isa.Op
 		v     uint64
@@ -127,14 +164,18 @@ func TestBranchDirectionsAllOps(t *testing.T) {
 	}{
 		{isa.BEQ, 0, true},
 		{isa.BEQ, 1, false},
+		{isa.BEQ, neg1, false},
 		{isa.BNE, 0, false},
 		{isa.BNE, 5, true},
-		{isa.BLT, ^uint64(0), true}, // -1
+		{isa.BNE, neg1, true},
+		{isa.BLT, neg1, true},
+		{isa.BLT, minInt, true},
 		{isa.BLT, 1, false},
 		{isa.BLT, 0, false},
 		{isa.BGE, 0, true},
 		{isa.BGE, 7, true},
-		{isa.BGE, ^uint64(0), false},
+		{isa.BGE, neg1, false},
+		{isa.BGE, minInt, false},
 	}
 	for _, tc := range cases {
 		pb := program.NewBuilder("t", 0x1000, 0x100000)
@@ -145,15 +186,9 @@ func TestBranchDirectionsAllOps(t *testing.T) {
 		pb.Label("taken")
 		pb.Ldi(3, 1) // taken marker
 		pb.Halt()
-		p := pb.MustBuild()
-		th := New(DefaultConfig(), NewProgramSpace(p), p.Entry, program.NewMemory(p),
-			memsys.New(memsys.DefaultConfig()), branchpred.New(branchpred.DefaultConfig()))
-		for !th.Halted() {
-			th.Step()
-		}
-		gotTaken := th.Reg(3) == 1
-		if gotTaken != tc.taken {
-			t.Errorf("%v(%#x): taken=%v, want %v", tc.op, tc.v, gotTaken, tc.taken)
+		th := runEach(t, pb.MustBuild(), true)
+		if gotTaken := th.Reg(3) == 1; gotTaken != tc.taken || (th.Reg(2) == 1) == tc.taken {
+			t.Errorf("%v(%#x): r2=%d r3=%d, want taken=%v", tc.op, tc.v, th.Reg(2), th.Reg(3), tc.taken)
 		}
 	}
 }

@@ -33,6 +33,10 @@ go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -slowpat
 # times; the small-scale smokes above rarely resume inside a block.
 go run ./cmd/experiments -fig fig5 -instrs 1000000 > /tmp/fig5fast.out
 go run ./cmd/experiments -fig fig5 -instrs 1000000 -slowpath | diff /tmp/fig5fast.out -
+# Reproduction freshness: every full-scale table, regenerated, must match the
+# checked-in experiments_full.txt byte for byte (~1 min at -j 2 on two CPUs),
+# so a change that moves any reported number has to update the archive too.
+go run ./cmd/experiments -j 2 | diff experiments_full.txt -
 # Golden-trace conformance, twice in one process: -count=2 re-runs every
 # workload against the checked-in streams, so a run that mutates shared
 # state (and would only diverge on the second pass) still fails.
